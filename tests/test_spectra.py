@@ -17,8 +17,12 @@ from flattopspec import (
     flat_top_rpf,
     optimal_window,
     parzen_window,
+    symmetrize,
+    symmetrize_even_1d,
     trapezoid_window,
+    window_l2_norm,
 )
+from flattopspec import spectra, windows
 from flattopspec.spectra import canonical_lag
 from flattopspec.windows import LagWindow
 
@@ -218,6 +222,52 @@ class TestOptimalWindowEstimation:
                                     truncation_radius=10.0)
         assert trunc.value == pytest.approx(full.value, abs=5e-3)
         assert trunc.lag_cap < full.lag_cap
+
+
+def direct_l2_norm(window, radius, n=2001):
+    ax = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    sq = np.asarray(window.fn(X, Y), float) ** 2
+    return math.sqrt(np.trapezoid(np.trapezoid(sq, ax, axis=1), ax))
+
+
+# an asymmetric base for `symmetrize`, supported on |x| <= 1/2, |y| <= 1/4
+SKEW_TENT = LagWindow(
+    name="skew-tent", order=3, support_radius=0.5, symmetric=False,
+    fn=lambda x, y: np.maximum(1.0 - 2.0 * np.abs(np.asarray(x, float))
+                               - 4.0 * np.abs(np.asarray(y, float)), 0.0))
+
+
+class TestCombinerCacheKeys:
+    """Windows that differ only in their combiner share no cached weights or
+    constants, whichever of them is used first."""
+
+    @pytest.mark.parametrize("lift,base", [(symmetrize_even_1d, trapezoid_window(0.51)),
+                                           (symmetrize, SKEW_TENT)],
+                             ids=["even_1d", "symmetrize"])
+    @pytest.mark.parametrize("order", [("mean", "gmean"), ("gmean", "mean")])
+    def test_each_combiner_evaluates_its_own_fn(self, monkeypatch, series, lift,
+                                                base, order):
+        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+        monkeypatch.setattr(windows, "_CONST_CACHE", {})
+        M = 3.0
+        norms = []
+        for combiner in order:
+            w = lift(base, combiner)
+            L = estimate_bispectrum(series, w, M, (0.7, -1.3)).lag_cap
+            # the weights the estimate used, read back from the cache
+            T1, T2, weights = spectra._lag_weights(w, M, L, None)
+            ax = np.arange(-L, L + 1)
+            X, Y = np.meshgrid(ax, ax, indexing="ij")
+            direct = np.asarray(w.fn(X / M, Y / M), float)
+            keep = direct != 0.0
+            np.testing.assert_array_equal(T1, X[keep])
+            np.testing.assert_array_equal(T2, Y[keep])
+            np.testing.assert_array_equal(weights, direct[keep])
+            norms.append(window_l2_norm(w))
+            assert norms[-1] == pytest.approx(direct_l2_norm(w, w.support_radius),
+                                              rel=1e-5)
+        assert abs(norms[0] - norms[1]) > 1e-2 * norms[0]
 
 
 def test_multichannel_channels_argument():

@@ -51,16 +51,51 @@ SYMMETRY_IMAGES = [
 ]
 
 
+def j2_unfolded_rule(x, nodes=512, block=1024):
+    """The unfolded periodic trapezoid rule for J2 on all `nodes` nodes."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    x = np.asarray(x, dtype=float).ravel()
+    return np.concatenate([
+        np.cos(2.0 * theta - x[i:i + block, None] * np.sin(theta)).mean(axis=1)
+        for i in range(0, x.size, block)])
+
+
 class TestBesselJ2:
     def test_matches_series_oracle(self):
         for x in np.linspace(0.0, 30.0, 121):
             assert abs(bessel_j2(x) - j2_series_oracle(x)) < 1e-12
 
+    def test_matches_unfolded_rule(self):
+        # 760 covers the untruncated opt window at N=120, M=1: 2pi (N - 1)
+        x = np.linspace(0.0, 760.0, 20001)
+        assert np.max(np.abs(bessel_j2(x) - j2_unfolded_rule(x))) <= 5e-14
+
+    def test_matches_mpmath(self):
+        x = np.linspace(0.0, 400.0, 2001)
+        ref = np.array([float(mpmath.besselj(2, v)) for v in x])
+        assert np.max(np.abs(bessel_j2(x) - ref)) <= 1e-13
+
     def test_vectorized_agrees_with_scalar(self):
-        xs = np.array([0.3, 1.7, 9.9])
-        vec = bessel_j2(xs)
-        for i, x in enumerate(xs):
-            assert vec[i] == pytest.approx(bessel_j2(float(x)), abs=1e-15)
+        # 4097 and 10_003 are not multiples of the block size
+        for n in (3, 4097, 10_003):
+            xs = np.random.default_rng(n).uniform(-760.0, 760.0, n)
+            vec = bessel_j2(xs)
+            assert vec.shape == (n,)
+            for i in [*range(0, n, max(1, n // 97)), n - 1]:
+                assert vec[i] == bessel_j2(float(xs[i]))
+
+    def test_even(self):
+        xs = np.linspace(0.0, 760.0, 4097)
+        np.testing.assert_allclose(bessel_j2(-xs), bessel_j2(xs), rtol=0, atol=1e-15)
+
+    def test_shapes(self):
+        assert isinstance(bessel_j2(np.float64(2.5)), float)
+        assert bessel_j2(0.0) == pytest.approx(0.0, abs=1e-16)
+        grid = np.linspace(-50.0, 50.0, 12).reshape(3, 4)
+        out = bessel_j2(grid)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out.ravel(), bessel_j2(grid.ravel()))
+        assert bessel_j2(np.empty(0)).shape == (0,)
 
 
 class TestPyramid:
