@@ -17,7 +17,6 @@ from .bandwidth import (
     select_bandwidth_general,
 )
 from .cumulants import (
-    CumulantValue,
     TimeSeries,
     central_moment_estimate,
     joint_cumulant_estimate,

@@ -15,6 +15,7 @@ Thresholds can be calibrated from the data with a circular block bootstrap.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,14 @@ class AnnulusSpec:
 
 @dataclass
 class BandwidthSelection:
-    """Outcome of a bandwidth search, with the evidence that produced it."""
+    """Outcome of a bandwidth search, with the evidence that produced it.
+
+    For the general rule `trace` holds one `(tau, rho)` per blocked annulus,
+    in increasing m: the smallest-norm lag of annulus m (ties broken by
+    lexicographic order of tau) with |rho| >= threshold.  So it has
+    `m_hat - 1` entries, or `m_hat` when `cap_hit`.  For the bispectrum rule
+    it lists every `(point, rho)` examined, in order.
+    """
 
     M_hat: float
     m_hat: int
@@ -103,8 +111,36 @@ class BandwidthSelection:
     params: dict = field(default_factory=dict)
 
 
+_CAP_WARNING = ("bandwidth selection stopped at its search cap; "
+                "the returned bandwidth is the cap (cap_hit=True)")
+
+
+def _warn_cap():
+    warnings.warn(_CAP_WARNING, UserWarning, stacklevel=3)
+
+
 def _log_threshold(k: float, N: int, base: float) -> float:
     return k * math.sqrt(math.log(N) / math.log(base) / N)
+
+
+def _lags_by_norm(R: int, dim: int, norm: str):
+    """Nonzero integer lags with norm < R (positive lags in 1-D) as rows of
+    an array, sorted by norm and then lexicographically, with their exact
+    integer sort keys: t1^2 + t2^2 for the euclidean norm, max(|t1|, |t2|)
+    for sup, t in 1-D."""
+    if dim == 1:
+        t = np.arange(1, R)
+        return t[:, None], t
+    t = np.arange(-R, R + 1)
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    if norm == "sup":
+        key, bound = np.maximum(np.abs(t1), np.abs(t2)), R
+    else:
+        key, bound = t1 * t1 + t2 * t2, R * R
+    inside = (key > 0) & (key < bound)
+    key, t1, t2 = key[inside], t1[inside], t2[inside]
+    order = np.argsort(key, kind="stable")
+    return np.stack([t1[order], t2[order]], axis=1), key[order]
 
 
 def select_bandwidth_general(series: TimeSeries, order: int = 2, channels=None,
@@ -114,13 +150,18 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, channels=None,
     """Smallest m >= 1 with |rho(tau)| < k sqrt(log N / N) on the annulus
     m <= ||tau|| < m + a_N; returns M = m / b.
 
-    The search is capped at m <= N/4; hitting the cap sets `cap_hit` and
-    returns the cap rather than raising.
+    The search is capped at m <= N/4; hitting the cap sets `cap_hit`, warns
+    and returns the cap rather than raising.  The lags are enumerated once,
+    sorted by norm, so each annulus is a contiguous run of them; rho is
+    evaluated at most once per lag, in that order, and only until the first
+    exceedance of each annulus.
     """
     if k <= 0 or a_N < 1 or not 0 < b <= 1:
         raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
+    if norm not in ("euclidean", "sup"):
+        raise ValueError(f"unknown norm '{norm}'")
     if channels is None:
         channels = (0,) * order
     N = series.n
@@ -128,35 +169,48 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, channels=None,
     if cap is None:
         cap = max(1, N // 4)
     dim = order - 1
-    rho_cache: dict = {}
     if dim == 2:
         lag_cache = BispectrumLagCache(series, channels)
         denom = lag_cache.rho_denominator()
 
     def rho(tau):
-        val = rho_cache.get(tau)
-        if val is None:
-            if dim == 2:
-                val = lag_cache.cumulant(*tau) / denom
-            else:
-                val = normalized_cumulant(series, tau, channels)
-            rho_cache[tau] = val
-        return val
+        if dim == 2:
+            return lag_cache.cumulant(*tau) / denom
+        return normalized_cumulant(series, tau, channels)
 
+    def radius_key(r):
+        return r * r if dim == 2 and norm == "euclidean" else r
+
+    # lags[:nxt] have been evaluated, and all of them are below the threshold
+    # except the witnesses; lags[witness] is the last witness
+    R = nxt = 0
+    witness = -1
     trace = []
     m_hat, cap_hit = cap, True
     for m in range(1, cap + 1):
-        ann = AnnulusSpec(m, m + a_N, norm)
-        ok = True
-        for tau in ann.integer_lags(dim):
+        if m + a_N > R:
+            # the lags with norm below the old R stay a prefix of the new list
+            R = min(max(2 * R, 2 * (m + a_N)), cap + a_N)
+            lags, keys = _lags_by_norm(R, dim, norm)
+        lo = int(np.searchsorted(keys, radius_key(m)))
+        hi = int(np.searchsorted(keys, radius_key(m + a_N)))
+        if witness >= lo:
+            # the last witness lies in this annulus too, and no lag before it does
+            trace.append(trace[-1])
+            continue
+        for nxt in range(max(lo, nxt), hi):
+            tau = tuple(lags[nxt].tolist())
             r = rho(tau)
-            trace.append((tau, r))
             if abs(r) >= thr:
-                ok = False
+                witness = nxt
+                trace.append((tau, r))
                 break
-        if ok:
+        else:
             m_hat, cap_hit = m, False
             break
+        nxt = witness + 1
+    if cap_hit:
+        _warn_cap()
     return BandwidthSelection(
         M_hat=m_hat / b, m_hat=m_hat, rule="general",
         thresholds={"k": k, "value": thr}, trace=trace, cap_hit=cap_hit,
@@ -235,6 +289,8 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
         if ok:
             m_hat, cap_hit = m, False
             break
+    if cap_hit:
+        _warn_cap()
     i = lex_point(m_hat)[0]
     return BandwidthSelection(
         M_hat=float(math.floor(i / b)), m_hat=m_hat, rule="bispectrum",

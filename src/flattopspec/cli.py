@@ -83,7 +83,9 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind=args.model, seed=args.seed)
 
 
-def _write_sidecar(output, config: dict):
+def _write_sidecar(output, args):
+    # the parsed arguments minus the handler, whose repr differs per process
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     with open(str(output) + ".config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True, default=str)
 
@@ -94,6 +96,9 @@ def cmd_estimate(args) -> int:
         return EXIT_INPUT
     if args.input is not None:
         series = _load_series(args.input)
+        if series.n_channels != 1:
+            raise ValueError(f"estimate takes a single-channel series; "
+                             f"{args.input} has {series.n_channels} columns")
     else:
         series = generate(_model_spec(args), args.N)
 
@@ -142,7 +147,7 @@ def cmd_estimate(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        _write_sidecar(args.output, vars(args))
+        _write_sidecar(args.output, args)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -180,7 +185,7 @@ def cmd_study(args) -> int:
     out = args.output or "study.csv"
     report.to_csv(out)
     report.to_json(out + ".json")
-    _write_sidecar(out, vars(args))
+    _write_sidecar(out, args)
     return EXIT_OK
 
 
@@ -196,7 +201,7 @@ def cmd_oracle(args) -> int:
                                   R=args.R, L_sim=args.L_sim)
     out = args.output or f"{args.model}_reference.csv"
     table.save(out)
-    _write_sidecar(out, vars(args))
+    _write_sidecar(out, args)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from .exceptions import DegenerateSeriesError, OrderError
 
 __all__ = [
     "TimeSeries",
-    "CumulantValue",
     "central_moment_estimate",
     "joint_cumulant_estimate",
     "normalized_cumulant",
@@ -79,16 +78,6 @@ class TimeSeries:
     def centered(self, a: int = 0) -> np.ndarray:
         x = self.channel(a)
         return x - x.mean()
-
-
-@dataclass(frozen=True)
-class CumulantValue:
-    """A single estimated cumulant with its provenance."""
-
-    value: float
-    order: int
-    lags: tuple
-    kind: str  # "central-moment" or "partition"
 
 
 def _check_lags(lags) -> tuple:

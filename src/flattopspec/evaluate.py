@@ -144,18 +144,6 @@ def _with_seed(spec: ModelSpec, seed) -> ModelSpec:
     return dataclasses.replace(spec, seed=seed)
 
 
-def _auto_bandwidth(series, c, calibrate, rep_seed):
-    if calibrate:
-        _, k1 = bootstrap_threshold(series, (3, 0), seed=rep_seed)
-        _, k2 = bootstrap_threshold(series, (6, 3), seed=rep_seed + 1)
-        k1 = max(k1, 1e-3)
-        k2 = max(k2, 1e-3)
-    else:
-        k1 = k2 = 2.0
-    sel = select_bandwidth_bispectrum(series, k1=k1, k2=k2, b=c)
-    return max(sel.M_hat, 1.0)
-
-
 def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                   grid_n=5, seed=None, tables=None, calibrate=False,
                   c=0.51, truth_override=None) -> StudyReport:
@@ -198,8 +186,8 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                     for rep in range(R):
                         series = generate(spec, N, replication=rep)
                         if bw == "auto":
-                            M = _auto_bandwidth(series, c, calibrate,
-                                                rep_seed=2 * rep)
+                            M = _run_procedure("a", series, window, c,
+                                               calibrate, rep_seed=2 * rep)
                         else:
                             M = float(bw)
                         cache = BispectrumLagCache(series)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +7,13 @@ import pytest
 
 from flattopspec import (
     DegenerateSeriesError,
+    ModelSpec,
     TimeSeries,
     bootstrap_threshold,
+    generate,
     lex_index,
     lex_point,
+    normalized_cumulant,
     optimal_window,
     plugin_bandwidth,
     plugin_formula,
@@ -16,6 +21,7 @@ from flattopspec import (
     select_bandwidth_general,
 )
 from flattopspec.bandwidth import AnnulusSpec
+from flattopspec.spectra import BispectrumLagCache
 
 
 def brute_force_lex(count):
@@ -91,6 +97,80 @@ class TestLexPoints:
             lex_point(0)
 
 
+@functools.lru_cache(maxsize=None)
+def annulus_lags(m, a_N, norm, dim):
+    return AnnulusSpec(m, m + a_N, norm).integer_lags(dim)
+
+
+def brute_force_general(series, order, k, a_N, norm, cap=None):
+    """The general rule as a scan of every annulus, rebuilt lag by lag for
+    each m; returns (m_hat, cap_hit, threshold, rho)."""
+    N = series.n
+    thr = k * math.sqrt(math.log(N) / math.log(10.0) / N)
+    if cap is None:
+        cap = max(1, N // 4)
+    memo: dict = {}
+    if order == 3:
+        lag_cache = BispectrumLagCache(series, (0, 0, 0))
+        denom = lag_cache.rho_denominator()
+
+    def rho(tau):
+        if tau not in memo:
+            memo[tau] = (lag_cache.cumulant(*tau) / denom if order == 3
+                         else normalized_cumulant(series, tau, (0, 0)))
+        return memo[tau]
+
+    for m in range(1, cap + 1):
+        if all(abs(rho(tau)) < thr for tau in annulus_lags(m, a_N, norm, order - 1)):
+            return m, False, thr, rho
+    return cap, True, thr, rho
+
+
+def sort_key(tau, norm):
+    """Order in which the rule looks for a witness: norm, then lexicographic."""
+    if len(tau) == 1:
+        return tau
+    size = max(map(abs, tau)) if norm == "sup" else tau[0] ** 2 + tau[1] ** 2
+    return (size,) + tau
+
+
+def oracle_series(model, N):
+    if model == "ma2":
+        return ma2_series(N, N)
+    return generate(ModelSpec(kind=model, seed=3), N)
+
+
+class TestGeneralRuleOracle:
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "ma2"])
+    def test_matches_annulus_scan(self, model):
+        cap_hits = {2: 0, 3: 0}
+        grid = itertools.product((50, 200, 400), (2, 3), ("euclidean", "sup"),
+                                 (0.5, 2.0, 6.0), (1, 5), (None, 8))
+        for N, order, norm, k, a_N, cap in grid:
+            case = (N, order, norm, k, a_N, cap)
+            s = oracle_series(model, N)
+            sel = select_bandwidth_general(s, order=order, k=k, a_N=a_N,
+                                           norm=norm, cap=cap)
+            m_hat, cap_hit, thr, rho = brute_force_general(s, order, k, a_N, norm, cap)
+            assert (sel.m_hat, sel.cap_hit) == (m_hat, cap_hit), case
+            assert sel.M_hat == m_hat / 0.51, case
+            assert sel.thresholds["value"] == thr, case
+            cap_hits[order] += cap_hit
+            # one witness per blocked annulus, in increasing m
+            assert len(sel.trace) == (m_hat if cap_hit else m_hat - 1), case
+            for m, (tau, r) in enumerate(sel.trace, start=1):
+                assert AnnulusSpec(m, m + a_N, norm).contains(*tau), case
+                assert abs(r) >= thr, case
+                assert r == rho(tau), case
+                # the witness is the annulus's first exceedance
+                first = sort_key(tau, norm)
+                assert all(abs(rho(u)) < thr
+                           for u in annulus_lags(m, a_N, norm, order - 1)
+                           if sort_key(u, norm) < first), case
+        assert cap_hits[2] and cap_hits[3]
+
+
 class TestGeneralRule:
     def test_ma2_stops_after_support(self):
         sel = select_bandwidth_general(ma2_series(5000, 1), order=2)
@@ -119,7 +199,14 @@ class TestGeneralRule:
         # strongly periodic data never drops below the threshold
         t = np.arange(400)
         s = TimeSeries(np.cos(0.3 * t) + 0.01 * np.sin(1.7 * t))
-        sel = select_bandwidth_general(s, cap=8)
+        with pytest.warns(UserWarning, match="stopped at its search cap"):
+            sel = select_bandwidth_general(s, cap=8)
+        assert sel.cap_hit
+        assert sel.m_hat == 8
+        # a quadratic trend keeps every third-order lag correlated
+        trend = TimeSeries(t.astype(float) ** 2)
+        with pytest.warns(UserWarning, match="stopped at its search cap"):
+            sel = select_bandwidth_bispectrum(trend, cap=8)
         assert sel.cap_hit
         assert sel.m_hat == 8
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,28 @@ class TestEstimate:
         path = tmp_path / "const.txt"
         np.savetxt(path, np.full(200, 3.0))
         assert main(["estimate", "--input", str(path), "--at", "0,0"]) == 3
+
+    def test_multi_channel_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        rng = np.random.Generator(np.random.Philox(2))
+        np.savetxt(path, rng.standard_normal((300, 2)))
+        assert main(["estimate", "--input", str(path), "--at", "0,0"]) == 2
+        assert "2 columns" in capsys.readouterr().err
+
+    def test_sidecar_bytes_identical_across_processes(self, chisq_file, tmp_path):
+        out = tmp_path / "est.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cmd = [sys.executable, "-m", "flattopspec.cli", "estimate",
+               "--input", str(chisq_file), "--order", "3", "--at", "2,1",
+               "--bandwidth", "5", "--output", str(out)]
+        sidecars = []
+        for _ in range(2):
+            subprocess.run(cmd, check=True, env=env)
+            sidecars.append((tmp_path / "est.csv.config.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert b"func" not in sidecars[0]
 
     def test_model_simulation(self, capsys):
         code = main(["estimate", "--model", "iid-chisq1", "--N", "500",
