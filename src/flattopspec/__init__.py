@@ -71,7 +71,6 @@ from .windows import (
     parse_window,
     parzen_window,
     parzen_window_2d,
-    pilot_windows,
     symmetrize,
     symmetrize_even_1d,
     trapezoid_window,

@@ -372,16 +372,16 @@ def _flat_top_pilots(series, channels, c, general_kwargs, bisp_kwargs,
     bisp_win = flat_top_rpf(c)
     sel3 = select_bandwidth_general(series, order=3, channels=channels,
                                     b=c, **bisp_kwargs)
-    return spec_win, sel2.M_hat, bisp_win, max(sel3.M_hat, 1.0), None
+    return spec_win, sel2.M_hat, bisp_win, max(sel3.M_hat, 1.0)
 
 
-def _second_order_pilots(series, opt_threshold):
+def _second_order_pilots(series):
     N = series.n
     spec_win = parzen_window()
     M2 = max(float(math.floor(N ** 0.2)), 1.0)
-    bisp_win = optimal_window()
+    bisp_win = optimal_window(opt_truncation_radius(1e-3))
     M3 = max(float(math.floor(N ** (1.0 / 6.0))), 1.0)
-    return spec_win, M2, bisp_win, M3, opt_truncation_radius(opt_threshold)
+    return spec_win, M2, bisp_win, M3
 
 
 def plugin_formula(N, l2_norm, spectrum_product, window_d2, curvature, cap):
@@ -400,7 +400,6 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
                      pilot: str = "flat-top", channels=(0, 0, 0), c: float = 0.51,
                      general_kwargs: dict | None = None,
                      bisp_kwargs: dict | None = None,
-                     opt_threshold: float = 1e-3,
                      calibrate: bool = True, seed: int | None = 0,
                      cap: float | None = None) -> BandwidthSelection:
     """Per-frequency plug-in bandwidth for a differentiable order-2 kernel.
@@ -411,8 +410,8 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
 
     with f and its curvature replaced by pilot estimates: flat-top pilots
     (trapezoid + pyramidal frustum, bandwidths from the selection rules) or
-    second-order pilots (Parzen at floor(N^(1/5)), Bessel window at
-    floor(N^(1/6))).
+    second-order pilots (Parzen at floor(N^(1/5)), Bessel window truncated
+    where it falls below 1e-3, at floor(N^(1/6))).
     """
     if pilot not in ("flat-top", "second-order"):
         raise ValueError(f"pilot must be 'flat-top' or 'second-order', got '{pilot}'")
@@ -422,10 +421,10 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
         cap = N / 4.0
 
     if pilot == "flat-top":
-        spec_win, M2, bisp_win, M3, trunc = _flat_top_pilots(
+        spec_win, M2, bisp_win, M3 = _flat_top_pilots(
             series, channels, c, general_kwargs, bisp_kwargs, calibrate, seed)
     else:
-        spec_win, M2, bisp_win, M3, trunc = _second_order_pilots(series, opt_threshold)
+        spec_win, M2, bisp_win, M3 = _second_order_pilots(series)
 
     f1 = estimate_spectrum(series, spec_win, M2, w1,
                            channels=(channels[0], channels[0])).value
@@ -437,8 +436,7 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
     if product <= 0.0:
         raise DegenerateSeriesError("pilot spectral product is not positive")
 
-    curv = bispectrum_curvature(series, bisp_win, M3, (w1, w2),
-                                channels=channels, truncation_radius=trunc)
+    curv = bispectrum_curvature(series, bisp_win, M3, (w1, w2), channels=channels)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 

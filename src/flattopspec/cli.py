@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 input error, 3 degenerate data, 4 missing oracle table.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -242,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--oracle-table", action="append",
                        help="reference table CSV for garch11/bilinear (repeatable)")
     study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current implementation runs serially)")
     study.add_argument("--output", help="CSV output path (default study.csv)")
     study.set_defaults(func=cmd_study)
 

@@ -1,15 +1,15 @@
 """Smoothed lag-window estimates of the spectrum and bispectrum.
 
 Everything is direct summation over lags: the bandwidths in play are small,
-so the window support (or an explicit truncation region for the non-compact
-optimal window) limits the work, and the estimates are exact sums.  Sample
-cumulants are computed once per lag into a symmetry-folded cache.
+so the window's support box (`support_radius * M`, capped at N - 1) limits
+the work, and the estimates are exact sums.  Sample cumulants are computed
+once per lag into a symmetry-folded cache.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_SQRT3 = math.sqrt(3.0)
 
 
 def canonical_frequency(w: float) -> float:
@@ -121,9 +120,6 @@ class BispectrumLagCache:
         T2 = np.asarray(T2).ravel()
         return np.array([self.cumulant(a, b) for a, b in zip(T1, T2)])
 
-    def rho(self, t1: int, t2: int) -> float:
-        return self.cumulant(t1, t2) / self.rho_denominator()
-
 
 def autocumulants(series: TimeSeries, taus, channels=(0, 0)) -> np.ndarray:
     """Second-order mean-centered sample cumulants at each lag in `taus`."""
@@ -143,38 +139,31 @@ def autocumulants(series: TimeSeries, taus, channels=(0, 0)) -> np.ndarray:
     return out
 
 
-def _lag_cap(window: LagWindow, M: float, N: int,
-             truncation_radius: float | None, max_lag: int | None) -> int:
-    if max_lag is not None:
-        return min(int(max_lag), N - 1)
-    if window.support_radius is not None:
-        return min(int(math.ceil(window.support_radius * M)), N - 1)
-    if truncation_radius is not None:
-        # bounding box of the quadratic-form ellipse q <= r^2
-        return min(int(math.ceil(2.0 / _SQRT3 * truncation_radius * M)), N - 1)
-    return N - 1
+def _lag_cap(window: LagWindow, M: float, N: int) -> int:
+    if window.support_radius is None:
+        return N - 1
+    return min(int(math.ceil(window.support_radius * M)), N - 1)
 
 
-# weights depend only on (window, M, lag cap, truncation), not on the data
+# weights depend only on (window, M, lag cap), not on the data
 _WEIGHT_CACHE: dict = {}
 
 
-def _lag_weights(window: LagWindow, M: float, L: int, truncation_radius):
-    key = (window.key(), float(M), int(L), truncation_radius)
+def _lag_weights(window: LagWindow, M: float, L: int):
+    """The lags in [-L, L]^(s-1) where the window is nonzero, one coordinate
+    array per lag axis, followed by the weights there."""
+    key = (window.key(), float(M), int(L))
     hit = _WEIGHT_CACHE.get(key)
     if hit is not None:
         return hit
     ax = np.arange(-L, L + 1)
-    T1, T2 = np.meshgrid(ax, ax, indexing="ij")
-    T1 = T1.ravel()
-    T2 = T2.ravel()
-    w = np.asarray(window.fn(T1 / M, T2 / M), float).ravel()
-    if truncation_radius is not None and window.support_radius is None:
-        X = T1 / M
-        Y = T2 / M
-        w = np.where(X * X - X * Y + Y * Y <= truncation_radius ** 2, w, 0.0)
+    if window.order == 2:
+        lags = [ax]
+    else:
+        lags = [T.ravel() for T in np.meshgrid(ax, ax, indexing="ij")]
+    w = np.asarray(window.fn(*(t / M for t in lags)), float).ravel()
     mask = w != 0.0
-    result = (T1[mask], T2[mask], w[mask])
+    result = (*(t[mask] for t in lags), w[mask])
     if len(_WEIGHT_CACHE) > 256:
         _WEIGHT_CACHE.clear()
     _WEIGHT_CACHE[key] = result
@@ -182,7 +171,7 @@ def _lag_weights(window: LagWindow, M: float, L: int, truncation_radius):
 
 
 def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,
-                      channels=(0, 0), truncate=True, max_lag=None) -> SpectralEstimate:
+                      channels=(0, 0), truncate=True) -> SpectralEstimate:
     """Second-order smoothed periodogram at a single frequency.
 
     Returns the real part; when truncation is enabled (default) a negative
@@ -193,12 +182,8 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     if window.order != 2:
         raise ValueError(f"expected an order-2 window, got {window.name}")
     N = series.n
-    L = _lag_cap(window, M, N, None, max_lag)
-    taus = np.arange(-L, L + 1)
-    w = np.asarray(window.fn(taus / M), float)
-    mask = w != 0.0
-    taus = taus[mask]
-    w = w[mask]
+    L = _lag_cap(window, M, N)
+    taus, w = _lag_weights(window, M, L)
     C = autocumulants(series, taus, channels)
     omega_c = canonical_frequency(omega)
     val = complex((w * C * np.exp(-1j * taus * omega_c)).sum() / _TWO_PI)
@@ -214,8 +199,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     )
 
 
-def _bispectrum_terms(series, window, M, omega, channels, cache,
-                      truncation_radius, max_lag):
+def _bispectrum_terms(series, window, M, omega, channels, cache):
     if M <= 0:
         raise ValueError("bandwidth M must be positive")
     if window.order != 3:
@@ -226,8 +210,8 @@ def _bispectrum_terms(series, window, M, omega, channels, cache,
     if cache is None:
         cache = BispectrumLagCache(series, channels)
     N = series.n
-    L = _lag_cap(window, M, N, truncation_radius, max_lag)
-    T1, T2, w = _lag_weights(window, M, L, truncation_radius)
+    L = _lag_cap(window, M, N)
+    T1, T2, w = _lag_weights(window, M, L)
     C = cache.cumulants(T1, T2)
     w1 = canonical_frequency(omega[0])
     w2 = canonical_frequency(omega[1])
@@ -236,11 +220,10 @@ def _bispectrum_terms(series, window, M, omega, channels, cache,
 
 
 def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
-                        channels=(0, 0, 0), cache=None, truncation_radius=None,
-                        max_lag=None) -> SpectralEstimate:
+                        channels=(0, 0, 0), cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
     T1, T2, w, C, phase, om, L, N = _bispectrum_terms(
-        series, window, M, omega, channels, cache, truncation_radius, max_lag)
+        series, window, M, omega, channels, cache)
     val = complex((w * C * phase).sum() / _TWO_PI ** 2)
     return SpectralEstimate(
         value=val, omega=om, M=float(M), window=window.name,
@@ -249,8 +232,8 @@ def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
 
 
 def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float, omega,
-                                i: int, j: int, channels=(0, 0, 0), cache=None,
-                                truncation_radius=None, max_lag=None) -> complex:
+                                i: int, j: int, channels=(0, 0, 0),
+                                cache=None) -> complex:
     """Second partial derivative d^2 fhat / d omega_i d omega_j.
 
     Differentiating exp(-i tau.omega) twice brings down (-i tau_i)(-i tau_j)
@@ -259,17 +242,16 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
     T1, T2, w, C, phase, _, _, _ = _bispectrum_terms(
-        series, window, M, omega, channels, cache, truncation_radius, max_lag)
+        series, window, M, omega, channels, cache)
     Ti = T1 if i == 1 else T2
     Tj = T1 if j == 1 else T2
     return complex((-Ti * Tj * w * C * phase).sum() / _TWO_PI ** 2)
 
 
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
-                         channels=(0, 0, 0), cache=None, truncation_radius=None,
-                         max_lag=None) -> complex:
+                         channels=(0, 0, 0), cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
     T1, T2, w, C, phase, _, _, _ = _bispectrum_terms(
-        series, window, M, omega, channels, cache, truncation_radius, max_lag)
+        series, window, M, omega, channels, cache)
     factor = -(T1 * T1 - T1 * T2 + T2 * T2)
     return complex((factor * w * C * phase).sum() / _TWO_PI ** 2)

@@ -30,7 +30,6 @@ __all__ = [
     "trapezoid_window",
     "parzen_window",
     "parzen_window_2d",
-    "pilot_windows",
     "symmetrize",
     "symmetrize_even_1d",
     "validate_flat_top",
@@ -225,8 +224,8 @@ class LagWindow:
 
     `order` is the spectral order s it serves (2 -> 1-D argument, 3 -> 2-D).
     `support_radius` bounds the coordinates of the support box in scaled lag
-    units (None means unbounded).  `qform_profile`, when set, gives
-    lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
+    units (None means unbounded); it alone sets which lags an estimate sums.
+    `qform_profile`, when set, gives lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
     """
 
     name: str
@@ -276,11 +275,39 @@ def _opt_qform_profile(r):
     return _opt_profile(_ALPHA_SCALE * np.asarray(r, dtype=float))
 
 
-def optimal_window() -> LagWindow:
+def _lambda_opt_truncated(x, y, r):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.where(x * x - x * y + y * y <= r ** 2, lambda_opt(x, y), 0.0)
+
+
+def _opt_qform_profile_truncated(s, r):
+    s = np.asarray(s, dtype=float)
+    return np.where(s <= r, _opt_qform_profile(s), 0.0)
+
+
+def optimal_window(truncation_radius: float | None = None) -> LagWindow:
+    """The order-2 Bessel window `lambda_opt`, of unbounded support.
+
+    With `truncation_radius=r` it is 0 outside the ellipse x^2 - xy + y^2 <= r^2
+    (`opt_truncation_radius` picks r from a bound on the dropped tail), its
+    support box is the ellipse's bounding box, `support_radius` = 2/sqrt(3) * r,
+    and r is part of `key()`.
+    """
+    if truncation_radius is None:
+        return LagWindow(
+            name="opt", order=3, fn=lambda_opt,
+            flat_top_radius=0.0, support_radius=None,
+            qform_profile=_opt_qform_profile,
+        )
+    r = float(truncation_radius)
+    if not r > 0.0:
+        raise ValueError(f"truncation radius must be positive, got {truncation_radius}")
     return LagWindow(
-        name="opt", order=3, fn=lambda_opt,
-        flat_top_radius=0.0, support_radius=None,
-        qform_profile=_opt_qform_profile,
+        name="opt", order=3, fn=partial(_lambda_opt_truncated, r=r),
+        flat_top_radius=0.0, support_radius=2.0 / _SQRT3 * r,
+        params={"truncation_radius": r},
+        qform_profile=partial(_opt_qform_profile_truncated, r=r),
     )
 
 
@@ -304,16 +331,6 @@ def parzen_window_2d() -> LagWindow:
         name="parzen2d", order=3, fn=_parzen2d_fn,
         flat_top_radius=0.0, support_radius=1.0,
     )
-
-
-def pilot_windows(c: float = 0.51) -> dict:
-    """Catalog of the pilot windows used by the plug-in procedures."""
-    return {
-        "trapezoid": trapezoid_window(c),
-        "parzen": parzen_window(),
-        "parzen2d": parzen_window_2d(),
-        "opt": optimal_window(),
-    }
 
 
 # ---------------------------------------------------------------------------

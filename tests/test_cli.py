@@ -172,5 +172,8 @@ def test_subcommand_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--models", "--windows", "--N", "--R", "--bandwidth",
                  "--grid-n", "--calibrate", "--oracle-table", "--seed",
-                 "--threads", "--output"):
+                 "--output"):
         assert flag in out
+    # --threads was a documented no-op and is no longer accepted
+    assert "--threads" not in out
+    assert main(["study", "--threads", "2", "--R", "1"]) == 2

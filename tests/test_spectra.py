@@ -15,6 +15,7 @@ from flattopspec import (
     estimate_spectrum,
     flat_top_rcf,
     flat_top_rpf,
+    lambda_opt,
     optimal_window,
     parzen_window,
     symmetrize,
@@ -127,9 +128,9 @@ class TestBispectrum:
     def test_support_restriction_exact(self, series):
         window = flat_top_rpf(0.51)
         capped = estimate_bispectrum(series, window, 3.0, (0.4, 0.2))
-        full = estimate_bispectrum(series, window, 3.0, (0.4, 0.2),
-                                   max_lag=series.n - 1)
-        assert capped.value == pytest.approx(full.value, abs=1e-12)
+        full = naive_bispectrum(series, window, 3.0, (0.4, 0.2))
+        assert capped.lag_cap == 3
+        assert capped.value == pytest.approx(full, abs=1e-12)
 
     def test_periodicity_exact(self, series):
         window = flat_top_rpf(0.51)
@@ -216,12 +217,34 @@ class TestDerivatives:
 
 class TestOptimalWindowEstimation:
     def test_truncated_close_to_full(self, series):
-        w = optimal_window()
-        full = estimate_bispectrum(series, w, 2.0, (0.5, 0.2))
-        trunc = estimate_bispectrum(series, w, 2.0, (0.5, 0.2),
-                                    truncation_radius=10.0)
+        full = estimate_bispectrum(series, optimal_window(), 2.0, (0.5, 0.2))
+        trunc = estimate_bispectrum(series, optimal_window(10.0), 2.0, (0.5, 0.2))
         assert trunc.value == pytest.approx(full.value, abs=5e-3)
         assert trunc.lag_cap < full.lag_cap
+
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    @pytest.mark.parametrize("M", [1.0, 2.0])
+    def test_truncated_matches_brute_force(self, series, r, M):
+        """Every order-3 estimator with optimal_window(r) is the plain sum of
+        central_moment_estimate x lambda_opt over the lags with q <= r^2."""
+        N = series.n
+        ax = np.arange(-(N - 1), N)
+        T1, T2 = np.meshgrid(ax, ax, indexing="ij")
+        X, Y = T1 / M, T2 / M
+        keep = X * X - X * Y + Y * Y <= r * r
+        t1, t2 = T1[keep], T2[keep]
+        terms = lambda_opt(X[keep], Y[keep]) * np.array(
+            [central_moment_estimate(series, (int(a), int(b))) for a, b in zip(t1, t2)])
+        w = optimal_window(r)
+        for om in [(0.5, 0.2), (-1.1, 2.3)]:
+            phase = np.exp(-1j * (t1 * om[0] + t2 * om[1])) / TWO_PI ** 2
+            est = estimate_bispectrum(series, w, M, om).value
+            assert abs(est - (terms * phase).sum()) < 1e-10
+            d12 = estimate_bispectrum_partial(series, w, M, om, 1, 2)
+            assert abs(d12 - (-t1 * t2 * terms * phase).sum()) < 1e-10
+            curv = bispectrum_curvature(series, w, M, om)
+            ref = (-(t1 * t1 - t1 * t2 + t2 * t2) * terms * phase).sum()
+            assert abs(curv - ref) < 1e-10
 
 
 def direct_l2_norm(window, radius, n=2001):
@@ -238,9 +261,26 @@ SKEW_TENT = LagWindow(
                                - 4.0 * np.abs(np.asarray(y, float)), 0.0))
 
 
+def estimate_with_cached_weights(series, w, M, omega):
+    """Estimate, then check that the weights it used, read back from the
+    cache, are the window's own `fn` on its support box."""
+    est = estimate_bispectrum(series, w, M, omega)
+    L = est.lag_cap
+    T1, T2, weights = spectra._lag_weights(w, M, L)
+    ax = np.arange(-L, L + 1)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    direct = np.asarray(w.fn(X / M, Y / M), float)
+    keep = direct != 0.0
+    np.testing.assert_array_equal(T1, X[keep])
+    np.testing.assert_array_equal(T2, Y[keep])
+    np.testing.assert_array_equal(weights, direct[keep])
+    return est
+
+
 class TestCombinerCacheKeys:
-    """Windows that differ only in their combiner share no cached weights or
-    constants, whichever of them is used first."""
+    """Windows that differ only in a parameter (a combiner, or the truncation
+    of `opt`) share no cached weights or constants, whichever of them is used
+    first."""
 
     @pytest.mark.parametrize("lift,base", [(symmetrize_even_1d, trapezoid_window(0.51)),
                                            (symmetrize, SKEW_TENT)],
@@ -254,20 +294,25 @@ class TestCombinerCacheKeys:
         norms = []
         for combiner in order:
             w = lift(base, combiner)
-            L = estimate_bispectrum(series, w, M, (0.7, -1.3)).lag_cap
-            # the weights the estimate used, read back from the cache
-            T1, T2, weights = spectra._lag_weights(w, M, L, None)
-            ax = np.arange(-L, L + 1)
-            X, Y = np.meshgrid(ax, ax, indexing="ij")
-            direct = np.asarray(w.fn(X / M, Y / M), float)
-            keep = direct != 0.0
-            np.testing.assert_array_equal(T1, X[keep])
-            np.testing.assert_array_equal(T2, Y[keep])
-            np.testing.assert_array_equal(weights, direct[keep])
+            estimate_with_cached_weights(series, w, M, (0.7, -1.3))
             norms.append(window_l2_norm(w))
             assert norms[-1] == pytest.approx(direct_l2_norm(w, w.support_radius),
                                               rel=1e-5)
         assert abs(norms[0] - norms[1]) > 1e-2 * norms[0]
+
+    @pytest.mark.parametrize("M", [1.0, 2.0])
+    def test_opt_truncation_evaluates_its_own_fn(self, monkeypatch, series, M):
+        omega = (0.5, 0.2)
+        alone = {}
+        for r in (None, 2.0):
+            monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+            alone[r] = estimate_bispectrum(series, optimal_window(r), M, omega).value
+        assert alone[None] != alone[2.0]
+        for order in [(None, 2.0), (2.0, None)]:
+            monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+            for r in order:
+                est = estimate_with_cached_weights(series, optimal_window(r), M, omega)
+                assert est.value == alone[r]
 
 
 def test_multichannel_channels_argument():

@@ -19,7 +19,6 @@ from flattopspec import (
     parse_window,
     parzen_window,
     parzen_window_2d,
-    pilot_windows,
     symmetrize,
     symmetrize_even_1d,
     trapezoid_window,
@@ -184,6 +183,33 @@ class TestOptimalWindow:
         ts = np.linspace(r * 1.02, r * 6, 400)
         assert np.all(np.abs(lambda_opt(ts, np.zeros_like(ts))) < 1e-3)
 
+    def test_truncated_window(self):
+        r = 2.5
+        w = optimal_window(truncation_radius=r)
+        assert w.support_radius == 2.0 / math.sqrt(3.0) * r
+        assert w.key() != optimal_window().key()
+        assert w.key() == parse_window("opt:truncation_radius=2.5").key()
+        ax = np.linspace(-4.0, 4.0, 161)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        q = X * X - X * Y + Y * Y
+        inside = q <= r * r
+        vals = w.fn(X, Y)
+        np.testing.assert_array_equal(vals[inside], lambda_opt(X, Y)[inside])
+        assert np.all(vals[~inside] == 0.0)
+        # the ellipse's bounding box is the support box
+        assert np.all(np.abs(X[inside]) <= w.support_radius)
+        clear = np.abs(q - r * r) > 1e-9
+        np.testing.assert_allclose(w.qform_profile(np.sqrt(q))[clear], vals[clear],
+                                   rtol=0, atol=1e-15)
+        # the tail beyond |lambda_opt| = 1e-3 carries little of the L2 norm
+        full = window_l2_norm(optimal_window())
+        cut = window_l2_norm(optimal_window(opt_truncation_radius(1e-3)))
+        assert cut < full
+        assert cut == pytest.approx(full, rel=1e-4)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                optimal_window(bad)
+
     def test_curvature_at_zero(self):
         # analytic value -2 pi^2 / 9 from the quadratic term of the profile
         d2 = window_curvature_at_zero(optimal_window())
@@ -212,12 +238,6 @@ class TestPilots:
             v = w(x, y)
             for image in SYMMETRY_IMAGES[1:]:
                 assert w(*image(x, y)) == pytest.approx(v, abs=1e-13)
-
-    def test_catalog(self):
-        cat = pilot_windows()
-        assert set(cat) == {"trapezoid", "parzen", "parzen2d", "opt"}
-        assert cat["trapezoid"].order == 2
-        assert cat["opt"].order == 3
 
 
 class TestSymmetrize:
