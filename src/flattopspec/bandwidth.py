@@ -8,7 +8,8 @@ Three selectors are provided:
 * the practical bispectrum rule — the same idea on the lexicographically
   ordered interior lag points P_1 = (1,0), P_2 = (2,1), ...;
 * the per-frequency plug-in rule for differentiable second-order kernels,
-  with either flat-top or conventional second-order pilot estimates.
+  with either flat-top or conventional second-order pilot estimates,
+  computed once per series for all the frequencies asked for.
 
 Thresholds can be calibrated from the data with a circular block bootstrap.
 """
@@ -19,12 +20,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cumulants import TimeSeries, normalized_cumulant
 from .exceptions import DegenerateSeriesError
 from .spectra import (
     BispectrumLagCache,
-    bispectrum_curvature,
+    _bispectrum_lags,
+    _curvature_at,
+    _curvature_terms,
     estimate_spectrum,
 )
 from .windows import (
@@ -323,20 +327,24 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     if N < 2 * block_length:
         raise ValueError(f"series of length {N} too short for blocks of {block_length}")
 
+    gamma = max(taus + (0,))
+    n_terms = N - gamma
+    if n_terms < 1:
+        raise ValueError("tau0 exceeds the series length")
+
+    # replicate r is the blocks x[s:s + block_length] (indices mod N) for its
+    # starts s, concatenated and cut to N
     rng = np.random.Generator(np.random.Philox(seed))
     n_blocks = -(-N // block_length)
     starts = rng.integers(0, N, size=(B, n_blocks))
-    idx = (starts[:, :, None] + np.arange(block_length)) % N
-    xb = x[idx.reshape(B, -1)[:, :N]]
+    blocks = sliding_window_view(np.concatenate([x, x[:block_length - 1]]),
+                                 block_length)
+    xb = blocks[starts].reshape(B, -1)[:, :N]
 
     y = xb - xb.mean(axis=1, keepdims=True)
     var = (y * y).sum(axis=1) / N
     if np.any(var <= 0.0):
         raise DegenerateSeriesError("bootstrap replicate with zero variance")
-    gamma = max(taus + (0,))
-    n_terms = N - gamma
-    if n_terms < 1:
-        raise ValueError("tau0 exceeds the series length")
     prod = y[:, :n_terms].copy()
     for t in taus:
         prod *= y[:, t:t + n_terms]
@@ -396,13 +404,14 @@ def plugin_formula(N, l2_norm, spectrum_product, window_d2, curvature, cap):
     return M_hat, M_hat >= float(cap)
 
 
-def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
+def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
                      pilot: str = "flat-top", channels=(0, 0, 0), c: float = 0.51,
                      general_kwargs: dict | None = None,
                      bisp_kwargs: dict | None = None,
                      calibrate: bool = True, seed: int | None = 0,
-                     cap: float | None = None) -> BandwidthSelection:
-    """Per-frequency plug-in bandwidth for a differentiable order-2 kernel.
+                     cap: float | None = None) -> list:
+    """Per-frequency plug-in bandwidths for a differentiable order-2 kernel,
+    one `BandwidthSelection` per (w1, w2) pair in `omegas`.
 
     M(w1, w2) = { pi N / (||lambda|| f(w1) f(w2) f(w1+w2))
                   * (d^2 lambda / d tau1^2 at 0)^2
@@ -411,11 +420,16 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
     with f and its curvature replaced by pilot estimates: flat-top pilots
     (trapezoid + pyramidal frustum, bandwidths from the selection rules) or
     second-order pilots (Parzen at floor(N^(1/5)), Bessel window truncated
-    where it falls below 1e-3, at floor(N^(1/6))).
+    where it falls below 1e-3, at floor(N^(1/6))).  The pilots depend on the
+    series alone, so a call computes them, the pilot bispectrum's lag terms
+    and the constants of `window` once for all its frequencies; the result
+    for each pair equals that of a call with that pair alone.
     """
     if pilot not in ("flat-top", "second-order"):
         raise ValueError(f"pilot must be 'flat-top' or 'second-order', got '{pilot}'")
-    w1, w2 = float(omega[0]), float(omega[1])
+    omegas = np.asarray(omegas, float)
+    if omegas.ndim != 2 or omegas.shape[1] != 2 or len(omegas) == 0:
+        raise ValueError("omegas must be a nonempty sequence of (w1, w2) pairs")
     N = series.n
     if cap is None:
         cap = N / 4.0
@@ -425,26 +439,29 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omega,
             series, channels, c, general_kwargs, bisp_kwargs, calibrate, seed)
     else:
         spec_win, M2, bisp_win, M3 = _second_order_pilots(series)
-
-    f1 = estimate_spectrum(series, spec_win, M2, w1,
-                           channels=(channels[0], channels[0])).value
-    f2 = estimate_spectrum(series, spec_win, M2, w2,
-                           channels=(channels[1], channels[1])).value
-    f12 = estimate_spectrum(series, spec_win, M2, w1 + w2,
-                            channels=(channels[2], channels[2])).value
-    product = f1 * f2 * f12
-    if product <= 0.0:
-        raise DegenerateSeriesError("pilot spectral product is not positive")
-
-    curv = bispectrum_curvature(series, bisp_win, M3, (w1, w2), channels=channels)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, bisp_win, M3, channels, None)
+    curvature_terms = _curvature_terms(T1, T2, w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
-    M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
-    return BandwidthSelection(
-        M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",
-        thresholds={}, cap_hit=cap_hit,
-        params={"omega": (w1, w2), "pilot_spectrum_M": M2,
-                "pilot_bispectrum_M": M3, "f_product": product,
-                "curvature": curv, "l2": lam_norm, "d2": lam_d2},
-    )
+    selections = []
+    for w1, w2 in omegas.tolist():
+        f1 = estimate_spectrum(series, spec_win, M2, w1,
+                               channels=(channels[0], channels[0])).value
+        f2 = estimate_spectrum(series, spec_win, M2, w2,
+                               channels=(channels[1], channels[1])).value
+        f12 = estimate_spectrum(series, spec_win, M2, w1 + w2,
+                                channels=(channels[2], channels[2])).value
+        product = f1 * f2 * f12
+        if product <= 0.0:
+            raise DegenerateSeriesError("pilot spectral product is not positive")
+        curv = _curvature_at(T1, T2, curvature_terms, (w1, w2))
+        M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
+        selections.append(BandwidthSelection(
+            M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",
+            thresholds={}, cap_hit=cap_hit,
+            params={"omega": (w1, w2), "pilot_spectrum_M": M2,
+                    "pilot_bispectrum_M": M3, "f_product": product,
+                    "curvature": curv, "l2": lam_norm, "d2": lam_d2},
+        ))
+    return selections

@@ -82,9 +82,15 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind=args.model, seed=args.seed)
 
 
-def _write_sidecar(output, args):
-    # the parsed arguments minus the handler, whose repr differs per process
+def _write_sidecar(output, args, selection=None):
+    # the parsed arguments minus the handler, whose repr differs per process,
+    # and the outcome of an automatic bandwidth selection
     config = {k: v for k, v in vars(args).items() if k != "func"}
+    if selection is not None:
+        config["selection"] = {
+            "rule": selection.rule, "m_hat": selection.m_hat,
+            "M_hat": selection.M_hat, "thresholds": selection.thresholds,
+            "cap_hit": selection.cap_hit}
     with open(str(output) + ".config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True, default=str)
 
@@ -113,6 +119,7 @@ def cmd_estimate(args) -> int:
     if not points:
         raise ValueError("at least one --at frequency is required")
 
+    sel = None
     if args.bandwidth == "auto":
         if order == 2:
             sel = select_bandwidth_general(series, order=2,
@@ -146,7 +153,7 @@ def cmd_estimate(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        _write_sidecar(args.output, args)
+        _write_sidecar(args.output, args, sel)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -186,8 +186,8 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                     for rep in range(R):
                         series = generate(spec, N, replication=rep)
                         if bw == "auto":
-                            M = _run_procedure("a", series, window, c,
-                                               calibrate, rep_seed=2 * rep)
+                            M = _selection_rule_bandwidth(series, c, calibrate,
+                                                          rep_seed=2 * rep)
                         else:
                             M = float(bw)
                         cache = BispectrumLagCache(series)
@@ -244,19 +244,38 @@ class ProcedureResult:
         return float(np.mean(self.bandwidths))
 
 
-def _run_procedure(proc, series, window, c, calibrate, rep_seed):
-    if proc == "a":
-        if calibrate:
-            _, k1 = bootstrap_threshold(series, (3, 0), seed=rep_seed)
-            _, k2 = bootstrap_threshold(series, (6, 3), seed=rep_seed + 1)
-            sel = select_bandwidth_bispectrum(series, k1=max(k1, 1e-3),
-                                              k2=max(k2, 1e-3), b=c)
-        else:
-            sel = select_bandwidth_bispectrum(series, b=c)
-        return max(sel.M_hat, 1.0)
-    point = (0.0, 0.0) if proc in ("b", "d") else _POINT_21
-    pilot = "flat-top" if proc in ("b", "c") else "second-order"
-    return plugin_bandwidth(window, series, point, pilot=pilot, c=c).M_hat
+def _selection_rule_bandwidth(series, c, calibrate, rep_seed):
+    """Procedure (a): the bispectrum selection rule."""
+    if calibrate:
+        _, k1 = bootstrap_threshold(series, (3, 0), seed=rep_seed)
+        _, k2 = bootstrap_threshold(series, (6, 3), seed=rep_seed + 1)
+        sel = select_bandwidth_bispectrum(series, k1=max(k1, 1e-3),
+                                          k2=max(k2, 1e-3), b=c)
+    else:
+        sel = select_bandwidth_bispectrum(series, b=c)
+    return max(sel.M_hat, 1.0)
+
+
+# the plug-in procedures by pilot: procedure -> frequency
+_PLUGIN_PROCEDURES = {
+    "flat-top": {"b": (0.0, 0.0), "c": _POINT_21},
+    "second-order": {"d": (0.0, 0.0), "e": _POINT_21},
+}
+
+
+def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
+    """Bandwidth of each procedure on one series; the plug-in procedures that
+    share a pilot share one `plugin_bandwidth` call."""
+    chosen = {}
+    if "a" in procedures:
+        chosen["a"] = _selection_rule_bandwidth(series, c, calibrate, rep_seed)
+    for pilot, points in _PLUGIN_PROCEDURES.items():
+        group = [p for p in procedures if p in points]
+        if group:
+            sels = plugin_bandwidth(window, series, [points[p] for p in group],
+                                    pilot=pilot, c=c)
+            chosen.update((p, sel.M_hat) for p, sel in zip(group, sels))
+    return chosen
 
 
 def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
@@ -270,6 +289,9 @@ def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
     with second-order pilots.  `M_true` may be a number or a dict keyed by
     model kind.
     """
+    unknown = sorted(set(procedures) - set(PROCEDURES))
+    if unknown:
+        raise ValueError(f"unknown procedures {unknown} (choose from {PROCEDURES})")
     if window is None:
         window = optimal_window()
     results = []
@@ -280,9 +302,10 @@ def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
             chosen = {p: np.zeros(R) for p in procedures}
             for rep in range(R):
                 series = generate(spec, N, replication=rep)
+                found = _procedure_bandwidths(procedures, series, window, c,
+                                              calibrate, rep_seed=2 * rep)
                 for p in procedures:
-                    chosen[p][rep] = _run_procedure(p, series, window, c,
-                                                    calibrate, rep_seed=2 * rep)
+                    chosen[p][rep] = found[p]
             for p in procedures:
                 results.append(ProcedureResult(
                     procedure=p, model=spec.kind, n=N,

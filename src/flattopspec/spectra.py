@@ -199,7 +199,10 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     )
 
 
-def _bispectrum_terms(series, window, M, omega, channels, cache):
+def _bispectrum_lags(series, window, M, channels, cache):
+    """The lags where the window is nonzero, the weights and the sample
+    cumulants there, the lag cap and N: every term of the order-3 sums that
+    does not depend on the frequency."""
     if M <= 0:
         raise ValueError("bandwidth M must be positive")
     if window.order != 3:
@@ -212,18 +215,20 @@ def _bispectrum_terms(series, window, M, omega, channels, cache):
     N = series.n
     L = _lag_cap(window, M, N)
     T1, T2, w = _lag_weights(window, M, L)
-    C = cache.cumulants(T1, T2)
+    return T1, T2, w, cache.cumulants(T1, T2), L, N
+
+
+def _phase(T1, T2, omega):
     w1 = canonical_frequency(omega[0])
     w2 = canonical_frequency(omega[1])
-    phase = np.exp(-1j * (T1 * w1 + T2 * w2))
-    return T1, T2, w, C, phase, (w1, w2), L, N
+    return np.exp(-1j * (T1 * w1 + T2 * w2)), (w1, w2)
 
 
 def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
                         channels=(0, 0, 0), cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
-    T1, T2, w, C, phase, om, L, N = _bispectrum_terms(
-        series, window, M, omega, channels, cache)
+    T1, T2, w, C, L, N = _bispectrum_lags(series, window, M, channels, cache)
+    phase, om = _phase(T1, T2, omega)
     val = complex((w * C * phase).sum() / _TWO_PI ** 2)
     return SpectralEstimate(
         value=val, omega=om, M=float(M), window=window.name,
@@ -241,17 +246,25 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    T1, T2, w, C, phase, _, _, _ = _bispectrum_terms(
-        series, window, M, omega, channels, cache)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, channels, cache)
+    phase, _ = _phase(T1, T2, omega)
     Ti = T1 if i == 1 else T2
     Tj = T1 if j == 1 else T2
     return complex((-Ti * Tj * w * C * phase).sum() / _TWO_PI ** 2)
 
 
+def _curvature_terms(T1, T2, w, C):
+    """The frequency-free factor of each lag's term in the curvature sum."""
+    return -(T1 * T1 - T1 * T2 + T2 * T2) * w * C
+
+
+def _curvature_at(T1, T2, terms, omega) -> complex:
+    phase, _ = _phase(T1, T2, omega)
+    return complex((terms * phase).sum() / _TWO_PI ** 2)
+
+
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
                          channels=(0, 0, 0), cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    T1, T2, w, C, phase, _, _, _ = _bispectrum_terms(
-        series, window, M, omega, channels, cache)
-    factor = -(T1 * T1 - T1 * T2 + T2 * T2)
-    return complex((factor * w * C * phase).sum() / _TWO_PI ** 2)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, channels, cache)
+    return _curvature_at(T1, T2, _curvature_terms(T1, T2, w, C), omega)

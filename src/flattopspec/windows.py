@@ -384,7 +384,11 @@ def symmetrize(window: LagWindow, combiner="mean") -> LagWindow:
 
 
 def symmetrize_even_1d(window: LagWindow, combiner="gmean") -> LagWindow:
-    """Lift an even 1-D window to a symmetric 2-D one via h(l(x), l(y), l(y-x))."""
+    """Lift an even 1-D window to a symmetric 2-D one via h(l(x), l(y), l(y-x)).
+
+    Only the geometric mean keeps the support box of `window`; a lift by any
+    other combiner has unbounded support, so its estimates sum every lag.
+    """
     if window.order != 2:
         raise ValueError("expected a 1-D (order-2) window")
     g = _COMBINERS.get(combiner, combiner)
@@ -396,7 +400,10 @@ def symmetrize_even_1d(window: LagWindow, combiner="gmean") -> LagWindow:
                             np.asarray(_w(y), float),
                             np.asarray(_w(y - x), float)]))
 
-    support = None if window.support_radius is None else window.support_radius
+    # a geometric mean vanishes where one factor does, so that lift keeps the
+    # box of `window`; the arithmetic mean is at least w(0)/3 on the whole
+    # line y = 0, and other combiners are not known to vanish there
+    support = window.support_radius if combiner == "gmean" else None
     return LagWindow(
         name=f"sym1d({window.name})", order=3, fn=fn,
         flat_top_radius=window.flat_top_radius, support_radius=support,

@@ -265,6 +265,31 @@ class TestBispectrumRule:
             select_bandwidth_bispectrum(s, L=0)
 
 
+def bootstrap_threshold_modulo(series, tau0, block_length=None, B=500, channel=0,
+                               seed=None):
+    """The circular block bootstrap with every resample index taken mod N,
+    element by element."""
+    taus = (int(tau0),) if np.ndim(tau0) == 0 else tuple(int(t) for t in tau0)
+    x = series.channel(channel)
+    N = series.n
+    if block_length is None:
+        block_length = int(math.ceil(N ** (1.0 / 3.0)))
+    rng = np.random.Generator(np.random.Philox(seed))
+    n_blocks = -(-N // block_length)
+    starts = rng.integers(0, N, size=(B, n_blocks))
+    idx = (starts[:, :, None] + np.arange(block_length)) % N
+    xb = x[idx.reshape(B, -1)[:, :N]]
+    y = xb - xb.mean(axis=1, keepdims=True)
+    var = (y * y).sum(axis=1) / N
+    n_terms = N - max(taus + (0,))
+    prod = y[:, :n_terms].copy()
+    for t in taus:
+        prod *= y[:, t:t + n_terms]
+    rhos = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
+    sigma_hat = math.sqrt(N) * float(np.std(rhos, ddof=1))
+    return sigma_hat, 2.0 * sigma_hat
+
+
 class TestBootstrap:
     def test_white_noise_sigma_near_one(self):
         rng = np.random.Generator(np.random.Philox(10))
@@ -295,6 +320,32 @@ class TestBootstrap:
         s = TimeSeries(np.random.default_rng(0).normal(size=300))
         with pytest.raises(ValueError):
             bootstrap_threshold(s, (3,), B=10)
+
+    def test_lag_beyond_series_rejected_before_resampling(self, monkeypatch):
+        s = TimeSeries(np.random.default_rng(1).normal(size=50))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("resamples drawn for a lag the series cannot hold")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        for tau0 in (50, (50,), (3, 50), (200, 0)):
+            with pytest.raises(ValueError, match="exceeds the series length"):
+                bootstrap_threshold(s, tau0, seed=0)
+
+    @pytest.mark.parametrize("N", [50, 401])
+    @pytest.mark.parametrize("block_length", [None, 1, 5, 7, 25])
+    @pytest.mark.parametrize("B", [100, 500])
+    def test_matches_elementwise_gather(self, N, block_length, B):
+        # block lengths 1, 5 and 25 divide 50, 7 and ceil(N^(1/3)) (4, 8) do not;
+        # only 1 divides 401
+        x = np.random.default_rng(N).standard_normal((N, 2)) ** 2
+        s = TimeSeries(x)
+        for tau0, channel in ((3, 0), ((1,), 1), ((3, 0), 0), ((6, 3), 1)):
+            got = bootstrap_threshold(s, tau0, block_length=block_length, B=B,
+                                      channel=channel, seed=B + N)
+            want = bootstrap_threshold_modulo(s, tau0, block_length=block_length,
+                                              B=B, channel=channel, seed=B + N)
+            assert got == want, (tau0, channel)
 
 
 class TestPluginFormula:
@@ -327,18 +378,40 @@ class TestPluginBandwidth:
         return TimeSeries(rng.standard_normal(2000) ** 2)
 
     def test_flat_top_pilots_small_bandwidth(self, chisq_series):
-        sel = plugin_bandwidth(optimal_window(), chisq_series, (2.0, 1.0),
-                               pilot="flat-top", seed=0)
+        [sel] = plugin_bandwidth(optimal_window(), chisq_series, [(2.0, 1.0)],
+                                 pilot="flat-top", seed=0)
         assert sel.rule == "plugin-flat-top"
         assert 0 < sel.M_hat < 50
 
     def test_second_order_pilots(self, chisq_series):
-        sel = plugin_bandwidth(optimal_window(), chisq_series, (0.0, 0.0),
-                               pilot="second-order")
+        [sel] = plugin_bandwidth(optimal_window(), chisq_series, [(0.0, 0.0)],
+                                 pilot="second-order")
         assert 0 < sel.M_hat < 50
         assert sel.params["pilot_spectrum_M"] == math.floor(2000 ** 0.2)
         assert sel.params["pilot_bispectrum_M"] == math.floor(2000 ** (1 / 6))
 
     def test_unknown_pilot(self, chisq_series):
         with pytest.raises(ValueError):
-            plugin_bandwidth(optimal_window(), chisq_series, (0, 0), pilot="magic")
+            plugin_bandwidth(optimal_window(), chisq_series, [(0, 0)], pilot="magic")
+
+    @pytest.mark.parametrize("omegas", [(0, 0), [], [(1.0, 2.0, 3.0)]])
+    def test_rejects_anything_but_pairs(self, chisq_series, omegas):
+        with pytest.raises(ValueError, match="pairs"):
+            plugin_bandwidth(optimal_window(), chisq_series, omegas)
+
+    @pytest.mark.parametrize("pilot", ["flat-top", "second-order"])
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11"])
+    def test_many_frequencies_equal_one_call_each(self, pilot, model):
+        series = generate(ModelSpec(kind=model, seed=4), 400)
+        omegas = [(0.0, 0.0), (2.0, 1.0), (0.0, 0.0), (-0.4, 2.9), (3.5, -1.2),
+                  (2.0, 1.0)]
+        together = plugin_bandwidth(optimal_window(), series, omegas, pilot=pilot)
+        assert len(together) == len(omegas)
+        for omega, sel in zip(omegas, together):
+            [alone] = plugin_bandwidth(optimal_window(), series, [omega], pilot=pilot)
+            assert sel.M_hat == alone.M_hat
+            assert sel.m_hat == alone.m_hat
+            assert sel.cap_hit == alone.cap_hit
+            assert sel.rule == alone.rule == f"plugin-{pilot}"
+            assert sel.params == alone.params
+            assert sel.params["omega"] == omega

@@ -85,15 +85,40 @@ class TestEstimate:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        cmd = [sys.executable, "-m", "flattopspec.cli", "estimate",
-               "--input", str(chisq_file), "--order", "3", "--at", "2,1",
-               "--bandwidth", "5", "--output", str(out)]
-        sidecars = []
-        for _ in range(2):
-            subprocess.run(cmd, check=True, env=env)
-            sidecars.append((tmp_path / "est.csv.config.json").read_bytes())
-        assert sidecars[0] == sidecars[1]
-        assert b"func" not in sidecars[0]
+        for bandwidth in ("5", "auto"):
+            cmd = [sys.executable, "-m", "flattopspec.cli", "estimate",
+                   "--input", str(chisq_file), "--order", "3", "--at", "2,1",
+                   "--bandwidth", bandwidth, "--output", str(out)]
+            sidecars = []
+            for _ in range(2):
+                subprocess.run(cmd, check=True, env=env)
+                sidecars.append((tmp_path / "est.csv.config.json").read_bytes())
+            assert sidecars[0] == sidecars[1]
+            assert b"func" not in sidecars[0]
+            config = json.loads(sidecars[0])
+            if bandwidth == "5":
+                assert "selection" not in config
+                continue
+            sel = config["selection"]
+            assert set(sel) == {"rule", "m_hat", "M_hat", "thresholds", "cap_hit"}
+            assert sel["rule"] == "bispectrum"
+            assert sel["cap_hit"] is False
+            M = float(out.read_text().splitlines()[1].split(",")[4])
+            assert M == max(sel["M_hat"], 1.0)
+            assert set(sel["thresholds"]) == {"k1", "k2", "base"}
+
+    def test_sidecar_records_cap_hit(self, tmp_path, capsys):
+        # a quadratic trend keeps every third-order lag correlated
+        path = tmp_path / "trend.txt"
+        np.savetxt(path, np.arange(400, dtype=float) ** 2)
+        out = tmp_path / "est.csv"
+        with pytest.warns(UserWarning, match="stopped at its search cap"):
+            code = main(["estimate", "--input", str(path), "--order", "3",
+                         "--at", "2,1", "--output", str(out)])
+        assert code == 0
+        sel = json.loads((tmp_path / "est.csv.config.json").read_text())["selection"]
+        assert sel["cap_hit"] is True
+        assert sel["m_hat"] == 100
 
     def test_model_simulation(self, capsys):
         code = main(["estimate", "--model", "iid-chisq1", "--N", "500",

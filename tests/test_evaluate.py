@@ -141,6 +141,24 @@ class TestHistogramStudy:
         assert set(by_proc) == {"b", "d"}
         assert np.all(by_proc["d"].bandwidths > 0)
 
+    def test_procedure_subsets_match_full_run(self):
+        specs = [ModelSpec("iid-chisq1", seed=11), ModelSpec("arma11", seed=11)]
+        full = {(r.model, r.procedure): r.bandwidths
+                for r in bandwidth_histogram_study(specs, N_list=(200,), R=2,
+                                                   calibrate=True)}
+        for subset in [("c",), ("b", "e"), ("d",), ("e", "a", "c")]:
+            results = bandwidth_histogram_study(specs, N_list=(200,), R=2,
+                                                procedures=subset, calibrate=True)
+            assert [r.procedure for r in results] == list(subset) * len(specs)
+            for r in results:
+                np.testing.assert_array_equal(r.bandwidths,
+                                              full[(r.model, r.procedure)])
+
+    def test_unknown_procedure_rejected(self):
+        with pytest.raises(ValueError, match="unknown procedures"):
+            bandwidth_histogram_study([ModelSpec("iid-chisq1")], N_list=(200,),
+                                      R=1, procedures=("b", "z"))
+
     def test_m_true_dict(self):
         results = bandwidth_histogram_study(
             [ModelSpec("arma11", seed=10)], N_list=(200,), R=2,

@@ -215,6 +215,23 @@ class TestDerivatives:
             estimate_bispectrum_partial(series, flat_top_rpf(), 2.0, (0, 0), 0, 1)
 
 
+class TestEvenLiftSupport:
+    """A lift of a 1-D window keeps its support box only for the geometric
+    mean: the arithmetic mean is w(0)/3 or more on the line y = 0."""
+
+    @pytest.mark.parametrize("combiner,support", [("mean", None), ("gmean", 1.0)])
+    def test_support_follows_combiner(self, combiner, support):
+        assert symmetrize_even_1d(trapezoid_window(), combiner).support_radius == support
+
+    @pytest.mark.parametrize("combiner", ["mean", "gmean"])
+    @pytest.mark.parametrize("M,omega", [(1.0, (0.3, -1.1)), (2.0, (2.0, 1.0))])
+    def test_matches_brute_force(self, combiner, M, omega):
+        s = TimeSeries(np.random.default_rng(5).standard_normal(24) ** 2)
+        w = symmetrize_even_1d(trapezoid_window(), combiner)
+        est = estimate_bispectrum(s, w, M, omega).value
+        assert est == pytest.approx(naive_bispectrum(s, w, M, omega), abs=1e-10)
+
+
 class TestOptimalWindowEstimation:
     def test_truncated_close_to_full(self, series):
         full = estimate_bispectrum(series, optimal_window(), 2.0, (0.5, 0.2))
@@ -295,10 +312,16 @@ class TestCombinerCacheKeys:
         for combiner in order:
             w = lift(base, combiner)
             estimate_with_cached_weights(series, w, M, (0.7, -1.3))
+            if w.support_radius is None:
+                # the mean lift of a 1-D window is not square-integrable
+                with pytest.raises(ValueError, match="unbounded"):
+                    window_l2_norm(w)
+                continue
             norms.append(window_l2_norm(w))
             assert norms[-1] == pytest.approx(direct_l2_norm(w, w.support_radius),
                                               rel=1e-5)
-        assert abs(norms[0] - norms[1]) > 1e-2 * norms[0]
+        if len(norms) == 2:
+            assert abs(norms[0] - norms[1]) > 1e-2 * norms[0]
 
     @pytest.mark.parametrize("M", [1.0, 2.0])
     def test_opt_truncation_evaluates_its_own_fn(self, monkeypatch, series, M):
