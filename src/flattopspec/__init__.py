@@ -6,10 +6,8 @@ Monte-Carlo evaluation harness.
 """
 
 from .bandwidth import (
-    AnnulusSpec,
     BandwidthSelection,
     bootstrap_threshold,
-    lex_index,
     lex_point,
     plugin_bandwidth,
     plugin_formula,

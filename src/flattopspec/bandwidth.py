@@ -43,56 +43,14 @@ from .windows import (
 )
 
 __all__ = [
-    "AnnulusSpec",
     "BandwidthSelection",
     "select_bandwidth_general",
     "lex_point",
-    "lex_index",
     "select_bandwidth_bispectrum",
     "bootstrap_threshold",
     "plugin_formula",
     "plugin_bandwidth",
 ]
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Half-open annulus inner <= ||tau|| < outer in the lag plane (or line)."""
-
-    inner: float
-    outer: float
-    norm: str = "euclidean"
-
-    def __post_init__(self):
-        if not 0 <= self.inner < self.outer:
-            raise ValueError("annulus needs 0 <= inner < outer")
-        if self.norm not in ("euclidean", "sup"):
-            raise ValueError(f"unknown norm '{self.norm}'")
-
-    def lag_norm(self, t1, t2=None):
-        if t2 is None:
-            return abs(t1)
-        if self.norm == "sup":
-            return max(abs(t1), abs(t2))
-        return math.hypot(t1, t2)
-
-    def contains(self, t1, t2=None) -> bool:
-        r = self.lag_norm(t1, t2)
-        return self.inner <= r < self.outer
-
-    def integer_lags(self, dim: int):
-        """All nonzero integer lags inside the annulus (positive half-line for dim 1)."""
-        if dim == 1:
-            lo = int(math.ceil(self.inner))
-            hi = int(math.ceil(self.outer))
-            return [(t,) for t in range(max(lo, 1), hi) if self.contains(t)]
-        R = int(math.ceil(self.outer))
-        out = []
-        for t1 in range(-R, R + 1):
-            for t2 in range(-R, R + 1):
-                if (t1, t2) != (0, 0) and self.contains(t1, t2):
-                    out.append((t1, t2))
-        return out
 
 
 @dataclass
@@ -147,8 +105,8 @@ def _lags_by_norm(R: int, dim: int, norm: str):
     return np.stack([t1[order], t2[order]], axis=1), key[order]
 
 
-def select_bandwidth_general(series: TimeSeries, order: int = 2, channels=None,
-                             k: float = 2.0, a_N: int = 5, b: float = 0.51,
+def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
+                             a_N: int = 5, b: float = 0.51,
                              norm: str = "euclidean", log_base: float = 10.0,
                              cap: int | None = None) -> BandwidthSelection:
     """Smallest m >= 1 with |rho(tau)| < k sqrt(log N / N) on the annulus
@@ -166,21 +124,19 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, channels=None,
         raise ValueError(f"order must be 2 or 3, got {order}")
     if norm not in ("euclidean", "sup"):
         raise ValueError(f"unknown norm '{norm}'")
-    if channels is None:
-        channels = (0,) * order
     N = series.n
     thr = _log_threshold(k, N, log_base)
     if cap is None:
         cap = max(1, N // 4)
     dim = order - 1
     if dim == 2:
-        lag_cache = BispectrumLagCache(series, channels)
+        lag_cache = BispectrumLagCache(series)
         denom = lag_cache.rho_denominator()
 
     def rho(tau):
         if dim == 2:
             return lag_cache.cumulant(*tau) / denom
-        return normalized_cumulant(series, tau, channels)
+        return normalized_cumulant(series, tau)
 
     def radius_key(r):
         return r * r if dim == 2 and norm == "euclidean" else r
@@ -235,21 +191,10 @@ def lex_point(n: int):
     return (i, j)
 
 
-def lex_index(point) -> int:
-    """Inverse of lex_point; raises if the point is not in the enumeration."""
-    i, j = point
-    if (i, j) == (1, 0):
-        return 1
-    if not 0 < j < i:
-        raise ValueError(f"{point} is not an interior lex point")
-    return (i * i - 3 * i) // 2 + 2 + j
-
-
 def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
                                 k2: float = 2.0, L: int = 5, b: float = 0.51,
-                                channels=(0, 0, 0), log_base: float = math.e,
-                                cap: int | None = None,
-                                cache: BispectrumLagCache | None = None) -> BandwidthSelection:
+                                log_base: float = math.e,
+                                cap: int | None = None) -> BandwidthSelection:
     """Practical bispectrum rule over the lexicographic interior points.
 
     m_hat is the smallest m with |rho(P_{m+l})| < k~ sqrt(log N / N) for
@@ -263,8 +208,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     base = math.sqrt(math.log(N) / math.log(log_base) / N)
     if cap is None:
         cap = max(1, N // 4)
-    if cache is None:
-        cache = BispectrumLagCache(series, channels)
+    cache = BispectrumLagCache(series)
     denom = cache.rho_denominator()
 
     rho_cache: dict = {}
@@ -305,7 +249,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
 
 
 def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = None,
-                        B: int = 500, channel: int = 0, seed=None):
+                        B: int = 500, seed=None):
     """Circular block-bootstrap calibration of the selection threshold.
 
     Resamples the series in circular blocks, recomputes the normalized
@@ -318,7 +262,7 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
         raise ValueError("tau0 components must be nonnegative")
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
-    x = series.channel(channel)
+    x = series.values
     N = series.n
     if block_length is None:
         block_length = int(math.ceil(N ** (1.0 / 3.0)))
@@ -354,33 +298,22 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     return sigma_hat, 2.0 * sigma_hat
 
 
-def _flat_top_pilots(series, channels, c, general_kwargs, bisp_kwargs,
-                     calibrate, seed):
+def _flat_top_pilots(series, c, calibrate, seed):
     # both pilot bandwidths come from the general selection rule (1-D and
     # 2-D annuli respectively), giving real-valued M = m / b; thresholds
     # are bootstrap-calibrated by default since the fluctuation scale of
     # higher-order cumulants is model-dependent
-    general_kwargs = dict(general_kwargs or {})
-    bisp_kwargs = dict(bisp_kwargs or {})
+    k2d = k3d = 2.0
     if calibrate:
-        if "k" not in general_kwargs:
-            _, k2d = bootstrap_threshold(series, (3,), channel=channels[0],
-                                         seed=seed)
-            general_kwargs["k"] = max(k2d, 1e-3)
-        if "k" not in bisp_kwargs:
-            # calibrate at a boundary lag: the 2-D rule thresholds every lag
-            # in the annulus with one k, and boundary lags fluctuate most
-            _, k3d = bootstrap_threshold(series, (3, 0), channel=channels[0],
-                                         seed=None if seed is None else seed + 1)
-            bisp_kwargs["k"] = max(k3d, 1e-3)
-    spec_win = trapezoid_window(c)
-    sel2 = select_bandwidth_general(series, order=2,
-                                    channels=(channels[0], channels[0]),
-                                    b=c, **general_kwargs)
-    bisp_win = flat_top_rpf(c)
-    sel3 = select_bandwidth_general(series, order=3, channels=channels,
-                                    b=c, **bisp_kwargs)
-    return spec_win, sel2.M_hat, bisp_win, max(sel3.M_hat, 1.0)
+        _, k2d = bootstrap_threshold(series, (3,), seed=seed)
+        # calibrate at a boundary lag: the 2-D rule thresholds every lag
+        # in the annulus with one k, and boundary lags fluctuate most
+        _, k3d = bootstrap_threshold(series, (3, 0),
+                                     seed=None if seed is None else seed + 1)
+        k2d, k3d = max(k2d, 1e-3), max(k3d, 1e-3)
+    sel2 = select_bandwidth_general(series, order=2, k=k2d, b=c)
+    sel3 = select_bandwidth_general(series, order=3, k=k3d, b=c)
+    return trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0)
 
 
 def _second_order_pilots(series):
@@ -405,9 +338,7 @@ def plugin_formula(N, l2_norm, spectrum_product, window_d2, curvature, cap):
 
 
 def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
-                     pilot: str = "flat-top", channels=(0, 0, 0), c: float = 0.51,
-                     general_kwargs: dict | None = None,
-                     bisp_kwargs: dict | None = None,
+                     pilot: str = "flat-top", c: float = 0.51,
                      calibrate: bool = True, seed: int | None = 0,
                      cap: float | None = None) -> list:
     """Per-frequency plug-in bandwidths for a differentiable order-2 kernel,
@@ -435,23 +366,19 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
         cap = N / 4.0
 
     if pilot == "flat-top":
-        spec_win, M2, bisp_win, M3 = _flat_top_pilots(
-            series, channels, c, general_kwargs, bisp_kwargs, calibrate, seed)
+        spec_win, M2, bisp_win, M3 = _flat_top_pilots(series, c, calibrate, seed)
     else:
         spec_win, M2, bisp_win, M3 = _second_order_pilots(series)
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, bisp_win, M3, channels, None)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, bisp_win, M3)
     curvature_terms = _curvature_terms(T1, T2, w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
     selections = []
     for w1, w2 in omegas.tolist():
-        f1 = estimate_spectrum(series, spec_win, M2, w1,
-                               channels=(channels[0], channels[0])).value
-        f2 = estimate_spectrum(series, spec_win, M2, w2,
-                               channels=(channels[1], channels[1])).value
-        f12 = estimate_spectrum(series, spec_win, M2, w1 + w2,
-                                channels=(channels[2], channels[2])).value
+        f1 = estimate_spectrum(series, spec_win, M2, w1).value
+        f2 = estimate_spectrum(series, spec_win, M2, w2).value
+        f12 = estimate_spectrum(series, spec_win, M2, w1 + w2).value
         product = f1 * f2 * f12
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")

@@ -75,7 +75,7 @@ def _load_series(path) -> TimeSeries:
         data = np.loadtxt(path)
     except ValueError:
         data = np.loadtxt(path, delimiter=",")
-    return TimeSeries(data)  # raises on NaN/inf
+    return TimeSeries(data)  # raises on NaN/inf and on more than one column
 
 
 def _model_spec(args) -> ModelSpec:
@@ -101,9 +101,6 @@ def cmd_estimate(args) -> int:
         return EXIT_INPUT
     if args.input is not None:
         series = _load_series(args.input)
-        if series.n_channels != 1:
-            raise ValueError(f"estimate takes a single-channel series; "
-                             f"{args.input} has {series.n_channels} columns")
     else:
         series = generate(_model_spec(args), args.N)
 

@@ -273,7 +273,7 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
         group = [p for p in procedures if p in points]
         if group:
             sels = plugin_bandwidth(window, series, [points[p] for p in group],
-                                    pilot=pilot, c=c)
+                                    pilot=pilot, c=c, seed=rep_seed)
             chosen.update((p, sel.M_hat) for p, sel in zip(group, sels))
     return chosen
 

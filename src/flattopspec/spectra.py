@@ -63,36 +63,20 @@ class SpectralEstimate:
 
 
 class BispectrumLagCache:
-    """Third-order sample cumulants keyed by their canonical symmetry lag.
+    """Third-order sample cumulants of one series, keyed by their canonical
+    symmetry lag, so each orbit of six lag pairs is computed once."""
 
-    Symmetry folding only applies when all three channels coincide; for
-    mixed channels every lag is computed directly.
-    """
-
-    def __init__(self, series: TimeSeries, channels=(0, 0, 0)):
-        if len(channels) != 3:
-            raise ValueError("bispectrum cache needs exactly three channels")
+    def __init__(self, series: TimeSeries):
         self.series = series
-        self.channels = tuple(channels)
-        self._fold = len(set(channels)) == 1
-        self._y = {a: series.centered(a) for a in set(channels)}
+        self._y = series.centered()
         self._vals: dict = {}
 
-    def variance(self, a: int) -> float:
-        y = self._y.get(a)
-        if y is None:
-            y = self.series.centered(a)
-            self._y[a] = y
-        return float(np.dot(y, y) / self.series.n)
-
     def rho_denominator(self) -> float:
-        denom = 1.0
-        for a in self.channels:
-            var = self.variance(a)
-            if var <= 0.0:
-                raise DegenerateSeriesError(f"channel {a} has zero variance")
-            denom *= var
-        return math.sqrt(denom)
+        """C(0)^(3/2), the scale of the normalized third-order cumulant."""
+        var = float(np.dot(self._y, self._y) / self.series.n)
+        if var <= 0.0:
+            raise DegenerateSeriesError("series has zero variance")
+        return math.sqrt((var * var) * var)
 
     def _compute(self, t1: int, t2: int) -> float:
         N = self.series.n
@@ -101,17 +85,17 @@ class BispectrumLagCache:
         n_terms = N - gamma
         if n_terms < 1:
             return 0.0
-        a1, a2, a3 = self.channels
-        p = (self._y[a1][t1 - alpha:t1 - alpha + n_terms]
-             * self._y[a2][t2 - alpha:t2 - alpha + n_terms]
-             * self._y[a3][-alpha:-alpha + n_terms])
+        y = self._y
+        p = (y[t1 - alpha:t1 - alpha + n_terms]
+             * y[t2 - alpha:t2 - alpha + n_terms]
+             * y[-alpha:-alpha + n_terms])
         return float(p.sum() / N)
 
     def cumulant(self, t1: int, t2: int) -> float:
-        key = canonical_lag(int(t1), int(t2)) if self._fold else (int(t1), int(t2))
+        key = canonical_lag(int(t1), int(t2))
         val = self._vals.get(key)
         if val is None:
-            val = self._compute(*key) if self._fold else self._compute(int(t1), int(t2))
+            val = self._compute(*key)
             self._vals[key] = val
         return val
 
@@ -121,10 +105,9 @@ class BispectrumLagCache:
         return np.array([self.cumulant(a, b) for a, b in zip(T1, T2)])
 
 
-def autocumulants(series: TimeSeries, taus, channels=(0, 0)) -> np.ndarray:
+def autocumulants(series: TimeSeries, taus) -> np.ndarray:
     """Second-order mean-centered sample cumulants at each lag in `taus`."""
-    y1 = series.centered(channels[0])
-    y2 = series.centered(channels[1])
+    y = series.centered()
     N = series.n
     out = np.zeros(len(taus))
     for i, tau in enumerate(taus):
@@ -134,8 +117,8 @@ def autocumulants(series: TimeSeries, taus, channels=(0, 0)) -> np.ndarray:
         n_terms = N - gamma
         if n_terms < 1:
             continue
-        out[i] = np.dot(y1[tau - alpha:tau - alpha + n_terms],
-                        y2[-alpha:-alpha + n_terms]) / N
+        out[i] = np.dot(y[tau - alpha:tau - alpha + n_terms],
+                        y[-alpha:-alpha + n_terms]) / N
     return out
 
 
@@ -171,7 +154,7 @@ def _lag_weights(window: LagWindow, M: float, L: int):
 
 
 def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,
-                      channels=(0, 0), truncate=True) -> SpectralEstimate:
+                      truncate=True) -> SpectralEstimate:
     """Second-order smoothed periodogram at a single frequency.
 
     Returns the real part; when truncation is enabled (default) a negative
@@ -184,7 +167,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     N = series.n
     L = _lag_cap(window, M, N)
     taus, w = _lag_weights(window, M, L)
-    C = autocumulants(series, taus, channels)
+    C = autocumulants(series, taus)
     omega_c = canonical_frequency(omega)
     val = complex((w * C * np.exp(-1j * taus * omega_c)).sum() / _TWO_PI)
     value = val.real
@@ -199,7 +182,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     )
 
 
-def _bispectrum_lags(series, window, M, channels, cache):
+def _bispectrum_lags(series, window, M, cache=None):
     """The lags where the window is nonzero, the weights and the sample
     cumulants there, the lag cap and N: every term of the order-3 sums that
     does not depend on the frequency."""
@@ -211,7 +194,7 @@ def _bispectrum_lags(series, window, M, channels, cache):
         warnings.warn(f"window {window.name} does not satisfy the cumulant symmetries",
                       stacklevel=3)
     if cache is None:
-        cache = BispectrumLagCache(series, channels)
+        cache = BispectrumLagCache(series)
     N = series.n
     L = _lag_cap(window, M, N)
     T1, T2, w = _lag_weights(window, M, L)
@@ -225,9 +208,9 @@ def _phase(T1, T2, omega):
 
 
 def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
-                        channels=(0, 0, 0), cache=None) -> SpectralEstimate:
+                        cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
-    T1, T2, w, C, L, N = _bispectrum_lags(series, window, M, channels, cache)
+    T1, T2, w, C, L, N = _bispectrum_lags(series, window, M, cache)
     phase, om = _phase(T1, T2, omega)
     val = complex((w * C * phase).sum() / _TWO_PI ** 2)
     return SpectralEstimate(
@@ -237,8 +220,7 @@ def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
 
 
 def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float, omega,
-                                i: int, j: int, channels=(0, 0, 0),
-                                cache=None) -> complex:
+                                i: int, j: int, cache=None) -> complex:
     """Second partial derivative d^2 fhat / d omega_i d omega_j.
 
     Differentiating exp(-i tau.omega) twice brings down (-i tau_i)(-i tau_j)
@@ -246,7 +228,7 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, channels, cache)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, cache)
     phase, _ = _phase(T1, T2, omega)
     Ti = T1 if i == 1 else T2
     Tj = T1 if j == 1 else T2
@@ -264,7 +246,7 @@ def _curvature_at(T1, T2, terms, omega) -> complex:
 
 
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
-                         channels=(0, 0, 0), cache=None) -> complex:
+                         cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, channels, cache)
+    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, cache)
     return _curvature_at(T1, T2, _curvature_terms(T1, T2, w, C), omega)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from flattopspec import (
     TimeSeries,
     bootstrap_threshold,
     generate,
-    lex_index,
     lex_point,
     normalized_cumulant,
     optimal_window,
@@ -20,8 +20,58 @@ from flattopspec import (
     select_bandwidth_bispectrum,
     select_bandwidth_general,
 )
-from flattopspec.bandwidth import AnnulusSpec
 from flattopspec.spectra import BispectrumLagCache
+
+
+@dataclass(frozen=True)
+class AnnulusSpec:
+    """Half-open annulus inner <= ||tau|| < outer in the lag plane (or line):
+    the general rule's annuli, rebuilt lag by lag as an oracle."""
+
+    inner: float
+    outer: float
+    norm: str = "euclidean"
+
+    def __post_init__(self):
+        if not 0 <= self.inner < self.outer:
+            raise ValueError("annulus needs 0 <= inner < outer")
+        if self.norm not in ("euclidean", "sup"):
+            raise ValueError(f"unknown norm '{self.norm}'")
+
+    def lag_norm(self, t1, t2=None):
+        if t2 is None:
+            return abs(t1)
+        if self.norm == "sup":
+            return max(abs(t1), abs(t2))
+        return math.hypot(t1, t2)
+
+    def contains(self, t1, t2=None) -> bool:
+        r = self.lag_norm(t1, t2)
+        return self.inner <= r < self.outer
+
+    def integer_lags(self, dim: int):
+        """All nonzero integer lags inside the annulus (positive half-line for dim 1)."""
+        if dim == 1:
+            lo = int(math.ceil(self.inner))
+            hi = int(math.ceil(self.outer))
+            return [(t,) for t in range(max(lo, 1), hi) if self.contains(t)]
+        R = int(math.ceil(self.outer))
+        out = []
+        for t1 in range(-R, R + 1):
+            for t2 in range(-R, R + 1):
+                if (t1, t2) != (0, 0) and self.contains(t1, t2):
+                    out.append((t1, t2))
+        return out
+
+
+def lex_index(point) -> int:
+    """Inverse of lex_point; raises if the point is not in the enumeration."""
+    i, j = point
+    if (i, j) == (1, 0):
+        return 1
+    if not 0 < j < i:
+        raise ValueError(f"{point} is not an interior lex point")
+    return (i * i - 3 * i) // 2 + 2 + j
 
 
 def brute_force_lex(count):
@@ -111,13 +161,13 @@ def brute_force_general(series, order, k, a_N, norm, cap=None):
         cap = max(1, N // 4)
     memo: dict = {}
     if order == 3:
-        lag_cache = BispectrumLagCache(series, (0, 0, 0))
+        lag_cache = BispectrumLagCache(series)
         denom = lag_cache.rho_denominator()
 
     def rho(tau):
         if tau not in memo:
             memo[tau] = (lag_cache.cumulant(*tau) / denom if order == 3
-                         else normalized_cumulant(series, tau, (0, 0)))
+                         else normalized_cumulant(series, tau))
         return memo[tau]
 
     for m in range(1, cap + 1):
@@ -265,12 +315,11 @@ class TestBispectrumRule:
             select_bandwidth_bispectrum(s, L=0)
 
 
-def bootstrap_threshold_modulo(series, tau0, block_length=None, B=500, channel=0,
-                               seed=None):
+def bootstrap_threshold_modulo(series, tau0, block_length=None, B=500, seed=None):
     """The circular block bootstrap with every resample index taken mod N,
     element by element."""
     taus = (int(tau0),) if np.ndim(tau0) == 0 else tuple(int(t) for t in tau0)
-    x = series.channel(channel)
+    x = series.values
     N = series.n
     if block_length is None:
         block_length = int(math.ceil(N ** (1.0 / 3.0)))
@@ -339,13 +388,13 @@ class TestBootstrap:
         # block lengths 1, 5 and 25 divide 50, 7 and ceil(N^(1/3)) (4, 8) do not;
         # only 1 divides 401
         x = np.random.default_rng(N).standard_normal((N, 2)) ** 2
-        s = TimeSeries(x)
-        for tau0, channel in ((3, 0), ((1,), 1), ((3, 0), 0), ((6, 3), 1)):
+        for tau0, column in ((3, 0), ((1,), 1), ((3, 0), 0), ((6, 3), 1)):
+            s = TimeSeries(x[:, column])
             got = bootstrap_threshold(s, tau0, block_length=block_length, B=B,
-                                      channel=channel, seed=B + N)
+                                      seed=B + N)
             want = bootstrap_threshold_modulo(s, tau0, block_length=block_length,
-                                              B=B, channel=channel, seed=B + N)
-            assert got == want, (tau0, channel)
+                                              B=B, seed=B + N)
+            assert got == want, (tau0, column)
 
 
 class TestPluginFormula:

@@ -15,6 +15,7 @@ from flattopspec import (
     generate,
     run_mse_study,
 )
+from flattopspec import bandwidth
 from flattopspec.evaluate import CRITERIA
 
 
@@ -153,6 +154,20 @@ class TestHistogramStudy:
             for r in results:
                 np.testing.assert_array_equal(r.bandwidths,
                                               full[(r.model, r.procedure)])
+
+    def test_pilot_bootstraps_seeded_per_replication(self, monkeypatch):
+        # each replication's flat-top pilots resample with their own block starts
+        seeds = []
+        real = bandwidth.bootstrap_threshold
+
+        def spy(*args, seed=None, **kwargs):
+            seeds.append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(bandwidth, "bootstrap_threshold", spy)
+        bandwidth_histogram_study([ModelSpec("iid-chisq1", seed=12)], N_list=(200,),
+                                  R=3, procedures=("b",))
+        assert seeds == [0, 1, 2, 3, 4, 5]
 
     def test_unknown_procedure_rejected(self):
         with pytest.raises(ValueError, match="unknown procedures"):

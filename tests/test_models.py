@@ -58,7 +58,7 @@ class TestGenerate:
 
     def test_iid_chisq_moments(self):
         s = generate(ModelSpec("iid-chisq1", seed=1), 200_000)
-        x = s.channel()
+        x = s.values
         assert x.mean() == pytest.approx(1.0, abs=0.02)
         assert x.var() == pytest.approx(2.0, abs=0.06)
         assert ((x - x.mean()) ** 3).mean() == pytest.approx(8.0, rel=0.1)
@@ -66,25 +66,25 @@ class TestGenerate:
     def test_arma_with_zero_coefficients_is_white(self):
         spec = ModelSpec("arma11", params=(("phi", 0.0), ("theta", 0.0)), seed=9)
         s = generate(spec, 50_000)
-        x = s.channel()
+        x = s.values
         assert x.var() == pytest.approx(1.0, abs=0.03)
         lag1 = np.corrcoef(x[1:], x[:-1])[0, 1]
         assert abs(lag1) < 0.02
 
     def test_arma_is_second_order_white(self):
         s = generate(ModelSpec("arma11", seed=4), 100_000)
-        x = s.channel()
+        x = s.values
         for lag in range(1, 6):
             r = np.corrcoef(x[lag:], x[:-lag])[0, 1]
             assert abs(r) < 0.02
 
     def test_garch_unit_variance(self):
         s = generate(ModelSpec("garch11", seed=5), 200_000)
-        assert s.channel().var() == pytest.approx(1.0, abs=0.1)
+        assert s.values.var() == pytest.approx(1.0, abs=0.1)
 
     def test_burn_in_reaches_stationarity(self):
         s = generate(ModelSpec("bilinear", seed=6), 100_000)
-        x = s.channel()
+        x = s.values
         v1 = x[: len(x) // 2].var()
         v2 = x[len(x) // 2:].var()
         assert abs(v1 - v2) / v1 < 0.05

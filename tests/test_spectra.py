@@ -337,13 +337,3 @@ class TestCombinerCacheKeys:
                 est = estimate_with_cached_weights(series, optimal_window(r), M, omega)
                 assert est.value == alone[r]
 
-
-def test_multichannel_channels_argument():
-    rng = np.random.default_rng(30)
-    x = rng.standard_normal((60, 2)) ** 2
-    s = TimeSeries(x)
-    a = estimate_bispectrum(s, flat_top_rpf(), 2.0, (0.3, 0.1), channels=(0, 0, 0))
-    b = estimate_bispectrum(s, flat_top_rpf(), 2.0, (0.3, 0.1), channels=(1, 1, 1))
-    single = estimate_bispectrum(TimeSeries(x[:, 0]), flat_top_rpf(), 2.0, (0.3, 0.1))
-    assert a.value == pytest.approx(single.value, abs=1e-13)
-    assert a.value != pytest.approx(b.value, abs=1e-8)
