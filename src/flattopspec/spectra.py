@@ -49,7 +49,11 @@ def canonical_lag(t1: int, t2: int):
 
 @dataclass
 class SpectralEstimate:
-    """A single spectral value with the metadata that produced it."""
+    """A single spectral value with the metadata that produced it.
+
+    `lag_cap` is the largest |lag| coordinate summed and `n_lags` the number
+    of lag terms in the sum.
+    """
 
     value: complex
     omega: tuple
@@ -59,6 +63,7 @@ class SpectralEstimate:
     n: int
     truncated_negative: bool = False
     lag_cap: int | None = None
+    n_lags: int | None = None
     imag_discarded: float = 0.0
 
 
@@ -128,22 +133,31 @@ def _lag_cap(window: LagWindow, M: float, N: int) -> int:
     return min(int(math.ceil(window.support_radius * M)), N - 1)
 
 
-# weights depend only on (window, M, lag cap), not on the data
+# weights depend only on (window, M, N), not on the data
 _WEIGHT_CACHE: dict = {}
 
 
-def _lag_weights(window: LagWindow, M: float, L: int):
-    """The lags in [-L, L]^(s-1) where the window is nonzero, one coordinate
-    array per lag axis, followed by the weights there."""
-    key = (window.key(), float(M), int(L))
+def _lag_weights(window: LagWindow, M: float, N: int):
+    """The lags in the support box [-L, L]^(s-1), L = `_lag_cap`, where the
+    window is nonzero and a sample cumulant of a length-N series can be, one
+    coordinate array per lag axis, followed by the weights there.
+
+    A third-order sample cumulant at (t1, t2) sums N - max(|t1|, |t2|,
+    |t1 - t2|) products, so at order 3 only lags with |t1 - t2| < N are kept;
+    the window is evaluated on those alone.
+    """
+    key = (window.key(), float(M), int(N))
     hit = _WEIGHT_CACHE.get(key)
     if hit is not None:
         return hit
+    L = _lag_cap(window, M, N)
     ax = np.arange(-L, L + 1)
     if window.order == 2:
         lags = [ax]
     else:
-        lags = [T.ravel() for T in np.meshgrid(ax, ax, indexing="ij")]
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        inside = np.abs(T1 - T2) < N
+        lags = [T1[inside], T2[inside]]
     w = np.asarray(window.fn(*(t / M for t in lags)), float).ravel()
     mask = w != 0.0
     result = (*(t[mask] for t in lags), w[mask])
@@ -166,7 +180,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
         raise ValueError(f"expected an order-2 window, got {window.name}")
     N = series.n
     L = _lag_cap(window, M, N)
-    taus, w = _lag_weights(window, M, L)
+    taus, w = _lag_weights(window, M, N)
     C = autocumulants(series, taus)
     omega_c = canonical_frequency(omega)
     val = complex((w * C * np.exp(-1j * taus * omega_c)).sum() / _TWO_PI)
@@ -178,7 +192,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     return SpectralEstimate(
         value=value, omega=(omega_c,), M=float(M), window=window.name,
         order=2, n=N, truncated_negative=flagged, lag_cap=L,
-        imag_discarded=val.imag,
+        n_lags=taus.size, imag_discarded=val.imag,
     )
 
 
@@ -197,7 +211,7 @@ def _bispectrum_lags(series, window, M, cache=None):
         cache = BispectrumLagCache(series)
     N = series.n
     L = _lag_cap(window, M, N)
-    T1, T2, w = _lag_weights(window, M, L)
+    T1, T2, w = _lag_weights(window, M, N)
     return T1, T2, w, cache.cumulants(T1, T2), L, N
 
 
@@ -215,7 +229,7 @@ def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
     val = complex((w * C * phase).sum() / _TWO_PI ** 2)
     return SpectralEstimate(
         value=val, omega=om, M=float(M), window=window.name,
-        order=3, n=N, lag_cap=L,
+        order=3, n=N, lag_cap=L, n_lags=T1.size,
     )
 
 

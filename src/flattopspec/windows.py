@@ -62,22 +62,39 @@ def apply_symmetry(m, x, y):
 
 
 # ---------------------------------------------------------------------------
-# Bessel J2, computed in-house.
+# Bessel J2, computed in-house, in two pieces split at |x| = 25 (J2 is even).
 #
-# Uses the integral form J_n(x) = (1/2pi) int_{-pi}^{pi} cos(n t - x sin t) dt
-# discretized by the periodic trapezoid rule on K = 512 nodes, which is exact
-# up to aliasing terms J_{n +/- K}(x).  The rule is folded by the reflections
-# t -> t + pi and t -> pi - t onto the K/4 + 1 nodes of [0, pi/2]:
+# Below the split, the integral form J_n(x) = (1/2pi) int_{-pi}^{pi}
+# cos(n t - x sin t) dt is discretized by the periodic trapezoid rule on
+# K = 512 nodes, which is exact up to aliasing terms J_{n +/- K}(x).  The rule
+# is folded by the reflections t -> t + pi and t -> pi - t onto the K/4 + 1
+# nodes of [0, pi/2]:
 #
 #   J2(x) = (4/K) sum_{k=0}^{K/4} h_k cos(2 t_k) cos(x sin t_k),
 #
 # with h_0 = h_{K/4} = 1/2 and h_k = 1 otherwise (the odd sine part cancels
-# in pairs), so each point costs 129 cosines and the values are those of the
-# unfolded rule up to rounding.  Measured against mpmath.besselj, the error
-# is about 2e-15 on [0, 400], 3.5e-11 at x = 450, 1.4e-2 at x = 500 and
-# 4.0e-2 at x = 600.  Untruncated `opt` sums reach x = 2pi (N - 1) / M
-# (748 at N = 120, M = 1), past the accurate range; ROADMAP item 3 is where
-# that is to be fixed.
+# in pairs), so each point costs 129 cosines.
+#
+# At and above the split, Hankel's asymptotic expansion (Abramowitz & Stegun
+# 9.2.5-9.2.10; DLMF 10.17.3), with chi = x - 5pi/4:
+#
+#   J2(x) = sqrt(2/(pi x)) (P(x) cos chi - Q(x) sin chi),
+#   P = sum_{k<8} (-1)^k a_{2k} / x^{2k},  Q = sum_{k<8} (-1)^k a_{2k+1} / x^{2k+1},
+#   a_0 = 1,  a_k = a_{k-1} (16 - (2k - 1)^2) / (8k).
+#
+# The first omitted term is 3.4e-16 of the leading one at x = 25 and smaller
+# beyond.  cos chi = -(cos x + sin x)/sqrt(2) and sin chi = (cos x - sin x)/sqrt(2)
+# take the cosine and sine of x itself, so no rounded phase x - 5pi/4 enters:
+#
+#   J2(x) = -(P (cos x + sin x) + Q (cos x - sin x)) / sqrt(pi x).
+#
+# Measured against mpmath.besselj, the error is below 2e-16 on [0, 25) and
+# below 1e-16 on [25, 1e4].
+# The untruncated `opt` window reaches large x: a lag has a nonzero sample
+# cumulant only if max(|t1|, |t2|, |t1 - t2|) <= N - 1, which bounds
+# sqrt(t1^2 - t1 t2 + t2^2) <= N - 1, so its sums evaluate J2 up to
+# alpha = 2pi (N - 1) / (sqrt(3) M): 432 at N = 120, M = 1, and 7252 at
+# N = 2000, M = 1.
 # ---------------------------------------------------------------------------
 
 _J2_NODES = 512
@@ -87,20 +104,63 @@ _J2_WEIGHTS = 4.0 / _J2_NODES * np.cos(2.0 * _J2_THETA)
 _J2_WEIGHTS[[0, -1]] *= 0.5
 # points per block: bounds the (block, K/4 + 1) workspace to about 4 MB
 _J2_BLOCK = 4096
+# |x| from which the asymptotic expansion is used
+_J2_SPLIT = 25.0
+
+
+def _hankel_coefficients(terms=16):
+    """(-1)^k a_{2k} and (-1)^k a_{2k+1} for nu = 2, k < terms / 2, each
+    rounded once: Python's int / int is correctly rounded."""
+    num, den, a = 1, 1, []
+    for k in range(terms):
+        a.append((-1) ** (k // 2) * num / den)
+        num *= 16 - (2 * k + 1) ** 2
+        den *= 8 * (k + 1)
+    return a[0::2], a[1::2]
+
+
+_J2_P, _J2_Q = _hankel_coefficients()
+
+
+def _j2_trapezoid(x):
+    """The folded rule, for 0 <= x < _J2_SPLIT."""
+    out = np.empty_like(x)
+    for i in range(0, x.size, _J2_BLOCK):
+        seg = x[i:i + _J2_BLOCK, None]
+        out[i:i + _J2_BLOCK] = (np.cos(seg * _J2_SIN) * _J2_WEIGHTS).sum(axis=1)
+    return out
+
+
+def _j2_hankel(x):
+    """Hankel's expansion, for x >= _J2_SPLIT."""
+    z = 1.0 / x
+    w = z * z
+    p = np.full_like(x, _J2_P[-1])
+    for c in _J2_P[-2::-1]:
+        p = p * w + c
+    q = np.full_like(x, _J2_Q[-1])
+    for c in _J2_Q[-2::-1]:
+        q = q * w + c
+    q *= z
+    cos, sin = np.cos(x), np.sin(x)
+    return -(p * (cos + sin) + q * (cos - sin)) / np.sqrt(math.pi * x)
 
 
 def bessel_j2(x):
-    """Second-order Bessel function of the first kind; accurate for |x| <= 400.
+    """Second-order Bessel function of the first kind, within 1e-15 of
+    mpmath.besselj(2, x) for |x| <= 10^4.
 
-    Each value is reduced row by row, so it does not depend on the position of
-    the point in `x`: bessel_j2(x)[i] == bessel_j2(x[i]).
+    Each value is computed on its own, so it does not depend on the position
+    of the point in `x`: bessel_j2(x)[i] == bessel_j2(x[i]); and it is exactly
+    even: bessel_j2(-x) == bessel_j2(x).
     """
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
+    flat = np.abs(x.ravel())
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _J2_BLOCK):
-        seg = flat[i:i + _J2_BLOCK, None]
-        out[i:i + _J2_BLOCK] = (np.cos(seg * _J2_SIN) * _J2_WEIGHTS).sum(axis=1)
+    small = flat < _J2_SPLIT
+    out[small] = _j2_trapezoid(flat[small])
+    big = ~small
+    out[big] = _j2_hankel(flat[big])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -481,8 +541,10 @@ def _simpson(y, dx):
 
 _CONST_CACHE: dict = {}
 
-# integration extent for the non-compact optimal window; tail of the L2
-# integral beyond quadratic-form radius 60 is ~1e-6 relative
+# integration extent for the non-compact optimal window: the tail of the
+# squared L2 integral beyond quadratic-form radius 60 is 2.5e-7 of it, so
+# window_l2_norm(optimal_window()) reads 1.2e-7 (relative) below the closed
+# form sqrt(8 / (sqrt(3) pi)), from int_0^inf J2(t)^2 t^-3 dt = 1/24
 _OPT_L2_RADIUS = 60.0
 
 

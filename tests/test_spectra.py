@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from flattopspec import (
     BispectrumLagCache,
+    ModelSpec,
     TimeSeries,
     bispectrum_curvature,
     canonical_frequency,
@@ -15,6 +17,7 @@ from flattopspec import (
     estimate_spectrum,
     flat_top_rcf,
     flat_top_rpf,
+    generate,
     lambda_opt,
     optimal_window,
     parzen_window,
@@ -80,6 +83,11 @@ class TestSpectrum:
                                             truncate=False)
                     ref = naive_spectrum(series, window, M, omega)
                     assert est.value == pytest.approx(ref.real, abs=1e-10)
+
+    def test_n_lags_counts_nonzero_weights(self, series):
+        # trapezoid(0.51) at M = 3 vanishes at |tau| = 3 inside the cap
+        est = estimate_spectrum(series, trapezoid_window(0.51), 3.0, 0.4)
+        assert (est.lag_cap, est.n_lags) == (3, 5)
 
     def test_imaginary_part_negligible(self, series):
         est = estimate_spectrum(series, trapezoid_window(), 4.0, 1.1)
@@ -215,6 +223,29 @@ class TestDerivatives:
             estimate_bispectrum_partial(series, flat_top_rpf(), 2.0, (0, 0), 0, 1)
 
 
+def mpmath_opt_bispectrum(series, M, omega):
+    """Untruncated opt estimate summed over every lag of a length-N series,
+    with lambda_opt from mpmath.besselj, evaluated once per value of
+    t1^2 - t1 t2 + t2^2, and cumulants from central_moment_estimate."""
+    N = series.n
+    ax = np.arange(-(N - 1), N)
+    T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+    q = T1 * T1 - T1 * T2 + T2 * T2
+    values, index = np.unique(q, return_inverse=True)
+
+    def weight(qq):
+        if qq == 0:
+            return 1.0
+        a = 2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(qq) / M
+        return float(8 * mpmath.besselj(2, a) / a ** 2)
+
+    w = np.array([weight(int(v)) for v in values])[index]
+    C = np.array([central_moment_estimate(series, (int(a), int(b)))
+                  for a, b in zip(T1, T2)])
+    phase = np.exp(-1j * (T1 * omega[0] + T2 * omega[1]))
+    return (w * C * phase).sum() / TWO_PI ** 2
+
+
 class TestEvenLiftSupport:
     """A lift of a 1-D window keeps its support box only for the geometric
     mean: the arithmetic mean is w(0)/3 or more on the line y = 0."""
@@ -263,6 +294,28 @@ class TestOptimalWindowEstimation:
             ref = (-(t1 * t1 - t1 * t2 + t2 * t2) * terms * phase).sum()
             assert abs(curv - ref) < 1e-10
 
+    def test_untruncated_matches_mpmath_weights(self):
+        """At N = 160, M = 1 the window is evaluated up to alpha = 577, where
+        a trapezoid-rule J2 is off by up to 0.16."""
+        s = generate(ModelSpec("arma11", seed=3), 160)
+        est = estimate_bispectrum(s, optimal_window(), 1.0, (2.0, 1.0))
+        ref = mpmath_opt_bispectrum(s, 1.0, (2.0, 1.0))
+        assert abs(est.value - ref) <= 1e-10 * abs(ref)
+
+    def test_untruncated_sums_lags_where_a_cumulant_can_be_nonzero(self):
+        """Of the (2N - 1)^2 lags in the box, the 3N^2 - 3N + 1 with
+        |t1 - t2| < N are summed, less those where the weight is exactly 0."""
+        N = 120
+        s = TimeSeries(np.random.default_rng(8).standard_normal(N) ** 2)
+        est = estimate_bispectrum(s, optimal_window(), 1.0, (0.5, 0.2))
+        ax = np.arange(-(N - 1), N)
+        T1, T2 = np.meshgrid(ax, ax, indexing="ij")
+        inside = np.abs(T1 - T2) < N
+        assert inside.sum() == 3 * N * N - 3 * N + 1 == 42_841
+        zero = np.count_nonzero(lambda_opt(T1[inside], T2[inside]) == 0.0)
+        assert est.lag_cap == N - 1
+        assert est.n_lags == 42_841 - zero
+
 
 def direct_l2_norm(window, radius, n=2001):
     ax = np.linspace(-radius, radius, n)
@@ -280,14 +333,15 @@ SKEW_TENT = LagWindow(
 
 def estimate_with_cached_weights(series, w, M, omega):
     """Estimate, then check that the weights it used, read back from the
-    cache, are the window's own `fn` on its support box."""
+    cache, are the window's own `fn` on its support box, where a sample
+    cumulant can be nonzero."""
     est = estimate_bispectrum(series, w, M, omega)
     L = est.lag_cap
-    T1, T2, weights = spectra._lag_weights(w, M, L)
+    T1, T2, weights = spectra._lag_weights(w, M, series.n)
     ax = np.arange(-L, L + 1)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     direct = np.asarray(w.fn(X / M, Y / M), float)
-    keep = direct != 0.0
+    keep = (direct != 0.0) & (np.abs(X - Y) < series.n)
     np.testing.assert_array_equal(T1, X[keep])
     np.testing.assert_array_equal(T2, Y[keep])
     np.testing.assert_array_equal(weights, direct[keep])

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattopspec import (
     LagWindow,
@@ -65,27 +67,50 @@ class TestBesselJ2:
             assert abs(bessel_j2(x) - j2_series_oracle(x)) < 1e-12
 
     def test_matches_unfolded_rule(self):
-        # 760 covers the untruncated opt window at N=120, M=1: 2pi (N - 1)
-        x = np.linspace(0.0, 760.0, 20001)
+        # the unfolded rule is accurate only up to about 400 (off by 1.4e-2 at
+        # 500), so it is an oracle on [0, 400] alone
+        x = np.linspace(0.0, 400.0, 20001)
         assert np.max(np.abs(bessel_j2(x) - j2_unfolded_rule(x))) <= 5e-14
 
     def test_matches_mpmath(self):
-        x = np.linspace(0.0, 400.0, 2001)
+        # 10^4 covers the untruncated opt window at N = 2000, M = 1:
+        # 2pi (N - 1) / sqrt(3) = 7252
+        x = np.linspace(0.0, 1e4, 5001)
         ref = np.array([float(mpmath.besselj(2, v)) for v in x])
         assert np.max(np.abs(bessel_j2(x) - ref)) <= 1e-13
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.0, max_value=1e4))
+    def test_matches_mpmath_anywhere(self, x):
+        assert abs(bessel_j2(x) - float(mpmath.besselj(2, x))) <= 1e-13
+
+    def test_continuous_at_switch(self):
+        # the trapezoid rule serves |x| < 25, Hankel's expansion the rest
+        below, above = 25.0 - 1e-9, 25.0 + 1e-9
+        points = [below, np.nextafter(25.0, 0.0), 25.0, above]
+        for x in points:
+            assert abs(bessel_j2(x) - float(mpmath.besselj(2, x))) <= 1e-15
+        step = float(mpmath.besselj(2, above) - mpmath.besselj(2, below))
+        assert abs(bessel_j2(above) - bessel_j2(below) - step) <= 1e-15
+
     def test_vectorized_agrees_with_scalar(self):
-        # 4097 and 10_003 are not multiples of the block size
+        # 4097 and 10_003 are not multiples of the block size; a third of the
+        # points lie near the switch at |x| = 25, on either side of it
         for n in (3, 4097, 10_003):
-            xs = np.random.default_rng(n).uniform(-760.0, 760.0, n)
+            rng = np.random.default_rng(n)
+            xs = np.concatenate([rng.uniform(-1e4, 1e4, n - 2 * (n // 3)),
+                                 rng.uniform(-30.0, 30.0, n // 3),
+                                 25.0 + rng.uniform(-1e-6, 1e-6, n // 3)])
+            rng.shuffle(xs)
             vec = bessel_j2(xs)
             assert vec.shape == (n,)
-            for i in [*range(0, n, max(1, n // 97)), n - 1]:
+            for i in range(n):
                 assert vec[i] == bessel_j2(float(xs[i]))
 
     def test_even(self):
-        xs = np.linspace(0.0, 760.0, 4097)
-        np.testing.assert_allclose(bessel_j2(-xs), bessel_j2(xs), rtol=0, atol=1e-15)
+        xs = np.concatenate([np.linspace(0.0, 1e4, 8193),
+                             25.0 + np.linspace(-1e-6, 1e-6, 11)])
+        np.testing.assert_array_equal(bessel_j2(-xs), bessel_j2(xs))
 
     def test_shapes(self):
         assert isinstance(bessel_j2(np.float64(2.5)), float)
@@ -332,6 +357,14 @@ class TestContinuity:
 
 
 class TestNumericConstants:
+    def test_opt_l2_matches_closed_form(self):
+        # ||lambda_opt||^2 = (4pi/sqrt3) int g(r)^2 r dr = 8 / (sqrt3 pi), from
+        # int_0^inf J2(t)^2 t^-3 dt = 1/24; the numeric integral stops at
+        # quadratic-form radius 60 and so reads about 1.2e-7 low
+        exact = math.sqrt(8.0 / (math.sqrt(3.0) * math.pi))
+        assert exact == pytest.approx(1.21252232, abs=1e-8)
+        assert abs(window_l2_norm(optimal_window()) - exact) <= 3e-7
+
     def test_trapezoid_l2(self):
         c = 0.51
         expected = math.sqrt(2 * c + 2 * (1 - c) / 3)
