@@ -248,6 +248,13 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     )
 
 
+# bytes of one chunk's (replicates, N) arrays in `bootstrap_threshold`: 32
+# replicates at N = 400, below glibc's default 128 KiB threshold for serving
+# an allocation from freshly mapped pages, so the time of a call does not
+# depend on what earlier calls freed
+_BOOTSTRAP_CHUNK_BYTES = 100 * 1024
+
+
 def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = None,
                         B: int = 500, seed=None):
     """Circular block-bootstrap calibration of the selection threshold.
@@ -277,23 +284,27 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
         raise ValueError("tau0 exceeds the series length")
 
     # replicate r is the blocks x[s:s + block_length] (indices mod N) for its
-    # starts s, concatenated and cut to N
+    # starts s, concatenated and cut to N; replicates are built and reduced
+    # a chunk of rows at a time, each row on its own
     rng = np.random.Generator(np.random.Philox(seed))
     n_blocks = -(-N // block_length)
     starts = rng.integers(0, N, size=(B, n_blocks))
     blocks = sliding_window_view(np.concatenate([x, x[:block_length - 1]]),
                                  block_length)
-    xb = blocks[starts].reshape(B, -1)[:, :N]
-
-    y = xb - xb.mean(axis=1, keepdims=True)
-    var = (y * y).sum(axis=1) / N
-    if np.any(var <= 0.0):
-        raise DegenerateSeriesError("bootstrap replicate with zero variance")
-    prod = y[:, :n_terms].copy()
-    for t in taus:
-        prod *= y[:, t:t + n_terms]
-    num = prod.sum(axis=1) / N
-    rhos = num / var ** ((len(taus) + 1) / 2.0)
+    rhos = np.empty(B)
+    rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * N))
+    for i in range(0, B, rows):
+        chunk = starts[i:i + rows]
+        xb = blocks[chunk].reshape(len(chunk), -1)[:, :N]
+        y = xb - xb.mean(axis=1, keepdims=True)
+        var = (y * y).sum(axis=1) / N
+        if np.any(var <= 0.0):
+            raise DegenerateSeriesError("bootstrap replicate with zero variance")
+        prod = y[:, :n_terms].copy()
+        for t in taus:
+            prod *= y[:, t:t + n_terms]
+        num = prod.sum(axis=1) / N
+        rhos[i:i + rows] = num / var ** ((len(taus) + 1) / 2.0)
     sigma_hat = math.sqrt(N) * float(np.std(rhos, ddof=1))
     return sigma_hat, 2.0 * sigma_hat
 

@@ -2,8 +2,9 @@
 
 Everything is direct summation over lags: the bandwidths in play are small,
 so the window's support box (`support_radius * M`, capped at N - 1) limits
-the work, and the estimates are exact sums.  Sample cumulants are computed
-once per lag into a symmetry-folded cache.
+the work, and the estimates are exact sums.  A third-order sample cumulant
+is computed once per orbit of the six cumulant symmetries and kept in a dict
+keyed by the orbit's representative (`canonical_lag`).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .cumulants import TimeSeries
 from .exceptions import DegenerateSeriesError
-from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry
+from .windows import LagWindow, evaluate_blockwise
 
 __all__ = [
     "SpectralEstimate",
@@ -38,13 +39,11 @@ def canonical_frequency(w: float) -> float:
 
 
 def canonical_lag(t1: int, t2: int):
-    """Deterministic representative of the 6-element symmetry orbit of a lag pair."""
-    best = (t1, t2)
-    for m in SYMMETRY_MAPS[1:]:
-        img = apply_symmetry(m, t1, t2)
-        if img > best:
-            best = img
-    return best
+    """Representative of the orbit of a lag pair under the six third-order
+    cumulant symmetries: the largest of its images (x, y), (y, x),
+    (-x, y - x), (y - x, -x), (x - y, -y), (-y, x - y) in tuple order."""
+    return max((t1, t2), (t2, t1), (-t1, t2 - t1), (t2 - t1, -t1),
+               (t1 - t2, -t2), (-t2, t1 - t2))
 
 
 @dataclass
@@ -68,8 +67,9 @@ class SpectralEstimate:
 
 
 class BispectrumLagCache:
-    """Third-order sample cumulants of one series, keyed by their canonical
-    symmetry lag, so each orbit of six lag pairs is computed once."""
+    """Third-order sample cumulants of one series, keyed by `canonical_lag`,
+    so each orbit of six lag pairs is computed once; a lookup costs one
+    closed-form representative and one dict access."""
 
     def __init__(self, series: TimeSeries):
         self.series = series
@@ -105,9 +105,21 @@ class BispectrumLagCache:
         return val
 
     def cumulants(self, T1, T2) -> np.ndarray:
-        T1 = np.asarray(T1).ravel()
-        T2 = np.asarray(T2).ravel()
-        return np.array([self.cumulant(a, b) for a, b in zip(T1, T2)])
+        """`cumulant` at each lag pair (T1[i], T2[i]), as a float array."""
+        # plain ints hash and compare faster than numpy scalars
+        T1 = np.asarray(T1).ravel().tolist()
+        T2 = np.asarray(T2).ravel().tolist()
+        vals = self._vals
+        get, compute = vals.get, self._compute
+        out = []
+        append = out.append
+        for t1, t2 in zip(T1, T2):
+            key = canonical_lag(t1, t2)
+            val = get(key)
+            if val is None:
+                val = vals[key] = compute(*key)
+            append(val)
+        return np.array(out, float)
 
 
 def autocumulants(series: TimeSeries, taus) -> np.ndarray:
@@ -158,7 +170,7 @@ def _lag_weights(window: LagWindow, M: float, N: int):
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         inside = np.abs(T1 - T2) < N
         lags = [T1[inside], T2[inside]]
-    w = np.asarray(window.fn(*(t / M for t in lags)), float).ravel()
+    w = evaluate_blockwise(window.fn, *(t / M for t in lags))
     mask = w != 0.0
     result = (*(t[mask] for t in lags), w[mask])
     if len(_WEIGHT_CACHE) > 256:

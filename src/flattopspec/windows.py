@@ -102,8 +102,8 @@ _J2_THETA = 2.0 * np.pi * np.arange(_J2_NODES // 4 + 1) / _J2_NODES
 _J2_SIN = np.sin(_J2_THETA)
 _J2_WEIGHTS = 4.0 / _J2_NODES * np.cos(2.0 * _J2_THETA)
 _J2_WEIGHTS[[0, -1]] *= 0.5
-# points per block: bounds the (block, K/4 + 1) workspace to about 4 MB
-_J2_BLOCK = 4096
+# points per block: bounds the (block, K/4 + 1) workspace to about 0.5 MB
+_J2_BLOCK = 512
 # |x| from which the asymptotic expansion is used
 _J2_SPLIT = 25.0
 
@@ -162,6 +162,20 @@ def bessel_j2(x):
     big = ~small
     out[big] = _j2_hankel(flat[big])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+# points per block of a window evaluation: every kernel is elementwise, so
+# evaluating in blocks bounds its temporaries without changing a value
+_EVAL_BLOCK = 4096
+
+
+def evaluate_blockwise(fn, *coords):
+    """fn at the points of the equal-length 1-D arrays `coords`, as a float
+    array, evaluated in blocks of `_EVAL_BLOCK` points."""
+    out = np.empty(len(coords[0]))
+    for i in range(0, out.size, _EVAL_BLOCK):
+        out[i:i + _EVAL_BLOCK] = fn(*(c[i:i + _EVAL_BLOCK] for c in coords))
+    return out
 
 
 def _opt_profile(alpha):
@@ -547,6 +561,9 @@ _CONST_CACHE: dict = {}
 # form sqrt(8 / (sqrt(3) pi)), from int_0^inf J2(t)^2 t^-3 dt = 1/24
 _OPT_L2_RADIUS = 60.0
 
+# rows of the 1601-point grid per window evaluation in the 2-D L2 norm
+_L2_GRID_ROWS = 16
+
 
 def window_l2_norm(window: LagWindow) -> float:
     """L2 norm of the window over its lag space, computed numerically once."""
@@ -562,18 +579,22 @@ def window_l2_norm(window: LagWindow) -> float:
         # lambda = g(sqrt(q)): integral reduces to (4pi/sqrt(3)) int g(r)^2 r dr
         R = window.support_radius if window.support_radius is not None else _OPT_L2_RADIUS
         r = np.linspace(0.0, R, 80001)
-        g = window.qform_profile(r)
-        val = 4.0 * math.pi / _SQRT3 * _simpson(np.asarray(g, float) ** 2 * r, r[1] - r[0])
+        g = evaluate_blockwise(window.qform_profile, r)
+        val = 4.0 * math.pi / _SQRT3 * _simpson(g ** 2 * r, r[1] - r[0])
     else:
         R = window.support_radius
         if R is None:
             raise ValueError("cannot integrate an unbounded window without a radial profile")
-        n = 1601
-        ax = np.linspace(-R, R, n)
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        sq = np.asarray(window.fn(X, Y), float) ** 2
-        rows = np.array([_simpson(sq[i], ax[1] - ax[0]) for i in range(n)])
-        val = _simpson(rows, ax[1] - ax[0])
+        ax = np.linspace(-R, R, 1601)
+        dx = ax[1] - ax[0]
+        # Simpson's rule along each row of the grid, then across the rows,
+        # evaluating the window on a block of rows at a time
+        rows = []
+        for i in range(0, ax.size, _L2_GRID_ROWS):
+            X, Y = np.meshgrid(ax[i:i + _L2_GRID_ROWS], ax, indexing="ij")
+            sq = np.asarray(window.fn(X, Y), float) ** 2
+            rows.extend(_simpson(row, dx) for row in sq)
+        val = _simpson(np.array(rows), dx)
     result = math.sqrt(val)
     _CONST_CACHE[("l2", window.key())] = result
     return result

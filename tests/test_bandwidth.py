@@ -383,10 +383,11 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("N", [50, 401])
     @pytest.mark.parametrize("block_length", [None, 1, 5, 7, 25])
-    @pytest.mark.parametrize("B", [100, 500])
+    @pytest.mark.parametrize("B", [100, 133, 500])
     def test_matches_elementwise_gather(self, N, block_length, B):
         # block lengths 1, 5 and 25 divide 50, 7 and ceil(N^(1/3)) (4, 8) do not;
-        # only 1 divides 401
+        # only 1 divides 401; at N = 401 the replicates go in chunks of 31,
+        # which divides no B
         x = np.random.default_rng(N).standard_normal((N, 2)) ** 2
         for tau0, column in ((3, 0), ((1,), 1), ((3, 0), 0), ((6, 3), 1)):
             s = TimeSeries(x[:, column])

@@ -28,9 +28,20 @@ from flattopspec import (
 )
 from flattopspec import spectra, windows
 from flattopspec.spectra import canonical_lag
-from flattopspec.windows import LagWindow
+from flattopspec.windows import SYMMETRY_MAPS, LagWindow, apply_symmetry
 
 TWO_PI = 2.0 * math.pi
+
+
+def canonical_lag_loop(t1, t2):
+    """The largest image of (t1, t2) under `SYMMETRY_MAPS`, found by applying
+    each map in turn."""
+    best = (t1, t2)
+    for m in SYMMETRY_MAPS[1:]:
+        img = apply_symmetry(m, t1, t2)
+        if img > best:
+            best = img
+    return best
 
 
 def naive_spectrum(series, window, M, omega):
@@ -72,6 +83,38 @@ class TestCanonicalization:
         images = [(5, 2), (2, 5), (-5, -3), (-3, -5), (3, -2), (-2, 3)]
         reps = {canonical_lag(*p) for p in images}
         assert len(reps) == 1
+
+    def test_lag_matches_symmetry_map_loop(self):
+        for t1 in range(-150, 151):
+            for t2 in range(-150, 151):
+                assert canonical_lag(t1, t2) == canonical_lag_loop(t1, t2), (t1, t2)
+
+    def test_lag_is_an_image_shared_by_its_orbit(self):
+        rng = np.random.default_rng(3)
+        for t1, t2 in rng.integers(-500, 501, size=(300, 2)).tolist():
+            orbit = [apply_symmetry(m, t1, t2) for m in SYMMETRY_MAPS]
+            rep = canonical_lag(t1, t2)
+            assert rep in orbit
+            assert {canonical_lag(*img) for img in orbit} == {rep}
+
+
+class TestLagCacheLookup:
+    @pytest.mark.parametrize("as_input", [lambda a: a.astype(np.int64),
+                                          lambda a: a.astype(np.int32),
+                                          lambda a: a.tolist()],
+                             ids=["int64", "int32", "list"])
+    def test_cumulants_match_scalar_lookups(self, series, as_input):
+        T1, T2 = np.random.default_rng(4).integers(-12, 13, size=(2, 400))
+        want = [BispectrumLagCache(series).cumulant(a, b)
+                for a, b in zip(T1.tolist(), T2.tolist())]
+        got = BispectrumLagCache(series).cumulants(as_input(T1), as_input(T2))
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+
+    def test_empty_input(self, series):
+        got = BispectrumLagCache(series).cumulants(np.array([], int), [])
+        assert got.dtype == np.float64
+        assert got.shape == (0,)
 
 
 class TestSpectrum:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from flattopspec import (
     window_curvature_at_zero,
     window_l2_norm,
 )
+from flattopspec import windows
 from flattopspec.windows import SYMMETRY_MAPS, apply_symmetry
 
 
@@ -94,9 +96,10 @@ class TestBesselJ2:
         assert abs(bessel_j2(above) - bessel_j2(below) - step) <= 1e-15
 
     def test_vectorized_agrees_with_scalar(self):
-        # 4097 and 10_003 are not multiples of the block size; a third of the
-        # points lie near the switch at |x| = 25, on either side of it
-        for n in (3, 4097, 10_003):
+        # the lengths are not multiples of the block size, and 513 is one
+        # more than it; a third of the points lie near the switch at |x| = 25,
+        # on either side of it
+        for n in (3, 513, 4097, 10_003):
             rng = np.random.default_rng(n)
             xs = np.concatenate([rng.uniform(-1e4, 1e4, n - 2 * (n // 3)),
                                  rng.uniform(-30.0, 30.0, n // 3),
@@ -378,6 +381,27 @@ class TestNumericConstants:
         direct = math.sqrt(np.trapezoid(np.trapezoid(
             lambda_rcf(X, Y, 0.51) ** 2, ax, axis=1), ax))
         assert radial == pytest.approx(direct, rel=1e-4)
+
+    @pytest.mark.parametrize("window", [flat_top_rpf(0.51), parzen_window_2d()],
+                             ids=["rpf", "parzen2d"])
+    def test_grid_l2_in_bounded_memory(self, monkeypatch, window):
+        # without a radial profile the norm is Simpson's rule on a 1601 x 1601
+        # grid, row by row and then across the rows; evaluated a block of rows
+        # at a time it keeps the bits of the whole-grid evaluation
+        monkeypatch.setattr(windows, "_CONST_CACHE", {})
+        tracemalloc.start()
+        try:
+            got = window_l2_norm(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        R = window.support_radius
+        ax = np.linspace(-R, R, 1601)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        sq = np.asarray(window.fn(X, Y), float) ** 2
+        rows = np.array([windows._simpson(sq[i], ax[1] - ax[0]) for i in range(ax.size)])
+        assert got == math.sqrt(windows._simpson(rows, ax[1] - ax[0]))
 
     def test_flat_windows_have_zero_curvature_at_origin(self):
         assert window_curvature_at_zero(flat_top_rpf(0.51)) == pytest.approx(0.0, abs=1e-9)
