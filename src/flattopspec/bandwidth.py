@@ -94,15 +94,21 @@ def _lags_by_norm(R: int, dim: int, norm: str):
         t = np.arange(1, R)
         return t[:, None], t
     t = np.arange(-R, R + 1)
-    t1, t2 = np.meshgrid(t, t, indexing="ij")
     if norm == "sup":
-        key, bound = np.maximum(np.abs(t1), np.abs(t2)), R
+        key, bound = np.maximum.outer(np.abs(t), np.abs(t)), R
     else:
-        key, bound = t1 * t1 + t2 * t2, R * R
-    inside = (key > 0) & (key < bound)
-    key, t1, t2 = key[inside], t1[inside], t2[inside]
+        key, bound = np.add.outer(t * t, t * t), R * R
+    # flat index (t1 + R) * (2R + 1) + (t2 + R) of each lag inside, in
+    # lexicographic order, which the stable sort keeps among equal keys
+    flat = np.flatnonzero((key > 0) & (key < bound))
+    key = key.ravel()[flat]
     order = np.argsort(key, kind="stable")
-    return np.stack([t1[order], t2[order]], axis=1), key[order]
+    key, flat = key[order], flat[order]
+    del order
+    lags = np.empty((flat.size, 2), np.int64)
+    np.divmod(flat, t.size, out=(lags[:, 0], lags[:, 1]))
+    lags -= R
+    return lags, key
 
 
 def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
@@ -114,9 +120,13 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
 
     The search is capped at m <= N/4; hitting the cap sets `cap_hit`, warns
     and returns the cap rather than raising.  The lags are enumerated once,
-    sorted by norm, so each annulus is a contiguous run of them; rho is
-    evaluated at most once per lag, in that order, and only until the first
-    exceedance of each annulus.
+    sorted by norm, so each annulus is a contiguous run of them, and the
+    witness of each blocked annulus is its first lag with |rho| >= threshold.
+    At order 2, rho is evaluated at most once per lag, in that order, and only
+    until the first exceedance of each annulus.  At order 3, each time the
+    lag list grows, rho at all the new lags comes from one batched pass over
+    their cumulant orbits (`BispectrumLagCache.cumulant_batch`) into one
+    float array, and the scan searches the indices of its exceedances.
     """
     if k <= 0 or a_N < 1 or not 0 < b <= 1:
         raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
@@ -132,18 +142,28 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     if dim == 2:
         lag_cache = BispectrumLagCache(series)
         denom = lag_cache.rho_denominator()
+        # rho at lags[:rho.size], and the indices where |rho| >= thr
+        rho = np.empty(0)
+        exceed = np.empty(0, np.int64)
 
-    def rho(tau):
+    def first_exceedance(lo, hi):
+        """(index, rho) of the first lag in lags[lo:hi] with |rho| >= thr."""
         if dim == 2:
-            return lag_cache.cumulant(*tau) / denom
-        return normalized_cumulant(series, tau)
+            j = int(np.searchsorted(exceed, lo))
+            if j < exceed.size and exceed[j] < hi:
+                return int(exceed[j]), float(rho[exceed[j]])
+            return None
+        for i in range(lo, hi):
+            r = normalized_cumulant(series, (int(lags[i, 0]),))
+            if abs(r) >= thr:
+                return i, r
+        return None
 
     def radius_key(r):
         return r * r if dim == 2 and norm == "euclidean" else r
 
-    # lags[:nxt] have been evaluated, and all of them are below the threshold
-    # except the witnesses; lags[witness] is the last witness
-    R = nxt = 0
+    # lags[witness] is the last witness, the first exceedance of its annulus
+    R = 0
     witness = -1
     trace = []
     m_hat, cap_hit = cap, True
@@ -152,23 +172,25 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
             # the lags with norm below the old R stay a prefix of the new list
             R = min(max(2 * R, 2 * (m + a_N)), cap + a_N)
             lags, keys = _lags_by_norm(R, dim, norm)
+            if dim == 2:
+                new = lags[rho.size:]
+                new_rho = lag_cache.cumulant_batch(new[:, 0], new[:, 1])
+                new_rho /= denom
+                exceed = np.concatenate(
+                    [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= thr)])
+                rho = np.concatenate([rho, new_rho])
         lo = int(np.searchsorted(keys, radius_key(m)))
         hi = int(np.searchsorted(keys, radius_key(m + a_N)))
         if witness >= lo:
             # the last witness lies in this annulus too, and no lag before it does
             trace.append(trace[-1])
             continue
-        for nxt in range(max(lo, nxt), hi):
-            tau = tuple(lags[nxt].tolist())
-            r = rho(tau)
-            if abs(r) >= thr:
-                witness = nxt
-                trace.append((tau, r))
-                break
-        else:
+        hit = first_exceedance(lo, hi)
+        if hit is None:
             m_hat, cap_hit = m, False
             break
-        nxt = witness + 1
+        witness, r = hit
+        trace.append((tuple(lags[witness].tolist()), r))
     if cap_hit:
         _warn_cap()
     return BandwidthSelection(

@@ -94,7 +94,10 @@ class ModelSpec:
 
 
 def generate(spec: ModelSpec, N: int, replication: int = 0) -> TimeSeries:
-    """Simulate N observations (after burn-in) of the given model."""
+    """Simulate N observations (after burn-in) of the given model.
+
+    The series owns its N values, so the burn-in is not kept alive with it.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = spec.rng(replication)
@@ -130,7 +133,7 @@ def generate(spec: ModelSpec, N: int, replication: int = 0) -> TimeSeries:
         for t in range(total):
             prev = a * prev + b * prev * z[t] + z[t + 1]
             x[t] = prev
-    return TimeSeries(x[spec.burn_in:])
+    return TimeSeries(x[spec.burn_in:].copy())
 
 
 def true_spectrum(spec: ModelSpec, omega: float,

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +221,45 @@ class TestGeneralRuleOracle:
                            for u in annulus_lags(m, a_N, norm, order - 1)
                            if sort_key(u, norm) < first), case
         assert cap_hits[2] and cap_hits[3]
+
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    @pytest.mark.parametrize("norm", ["euclidean", "sup"])
+    def test_matches_annulus_scan_over_thousands_of_orbits(self, norm):
+        # three growths of the lag list, to radius 12, 24 and 45: 6,348 lags
+        # in 1,631 orbits (7,920 and 2,024 in the sup norm), all scanned
+        s = generate(ModelSpec(kind="iid-chisq1", seed=3), 1000)
+        sel = select_bandwidth_general(s, order=3, norm=norm, cap=40)
+        m_hat, cap_hit, thr, rho = brute_force_general(s, 3, 2.0, 5, norm, 40)
+        assert (sel.m_hat, sel.cap_hit, sel.thresholds["value"]) == (m_hat, cap_hit, thr)
+        assert len(sel.trace) == (m_hat if cap_hit else m_hat - 1)
+        assert len(sel.trace) > 10
+        for m, (tau, r) in enumerate(sel.trace, start=1):
+            assert AnnulusSpec(m, m + 5, norm).contains(*tau)
+            assert abs(r) >= thr
+            assert r == rho(tau)
+            first = sort_key(tau, norm)
+            assert all(abs(rho(u)) < thr for u in annulus_lags(m, 5, norm, 2)
+                       if sort_key(u, norm) < first)
+
+
+class TestGeneralRuleWorkingSet:
+    """The order-3 rule on iid chi^2_1 series, which stop at the cap, holds a
+    bounded working set: rho as one float array, orbits computed in chunks."""
+
+    @pytest.mark.parametrize("N,bound_mb", [(400, 3.0), (2000, 78.6)])
+    def test_tracemalloc_peak(self, N, bound_mb):
+        s = generate(ModelSpec(kind="iid-chisq1", seed=0), N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            select_bandwidth_general(s, order=3, cap=2)  # imports
+            tracemalloc.start()
+            try:
+                sel = select_bandwidth_general(s, order=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sel.cap_hit
+        assert peak <= bound_mb * 1e6
 
 
 class TestGeneralRule:

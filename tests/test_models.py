@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,14 @@ from flattopspec import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# sha256 of generate(ModelSpec(kind, seed=11), 64, replication=2).values
+SERIES_DIGESTS = {
+    "iid-chisq1": "0e8393f45cc592a4430a24788aa902a31b77de7c82fec51b075aa2f26b3a6d9a",
+    "arma11": "e4318d6c6b65a01f0a5d3f9a8b3bbf0b1b2345c96c6e27e732c7f27fea274a66",
+    "garch11": "691408af5370d845e689f945785b761ed681feddede0f5906c3e2ed458273db3",
+    "bilinear": "0556d2df308cfd3241535f624e99c23c9f866f0b19e43fc9fffa5de319e9cf41",
+}
 
 
 class TestModelSpec:
@@ -49,6 +58,15 @@ class TestGenerate:
         a = generate(spec, 500, replication=3)
         b = generate(spec, 500, replication=3)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("kind", sorted(SERIES_DIGESTS))
+    def test_series_owns_its_values(self, kind):
+        # a view into the N + burn-in buffer would keep all of it alive; the
+        # digests are of the values such a view held
+        s = generate(ModelSpec(kind, seed=11), 64, replication=2)
+        assert s.values.base is None
+        assert s.values.shape == (64,)
+        assert hashlib.sha256(s.values.tobytes()).hexdigest() == SERIES_DIGESTS[kind]
 
     def test_replications_differ(self):
         spec = ModelSpec("iid-chisq1", seed=42)

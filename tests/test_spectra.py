@@ -1,9 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattopspec import (
     BispectrumLagCache,
@@ -115,6 +118,128 @@ class TestLagCacheLookup:
         got = BispectrumLagCache(series).cumulants(np.array([], int), [])
         assert got.dtype == np.float64
         assert got.shape == (0,)
+
+
+def decoded(codes):
+    return list(zip(*(c.tolist() for c in spectra._decode(codes))))
+
+
+class TestOrbitCodes:
+    def test_match_canonical_lag_on_a_box(self):
+        ax = np.arange(-150, 151)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        want = [canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
+        assert decoded(spectra._orbit_codes(T1, T2)) == want
+
+    def test_match_canonical_lag_up_to_n_minus_one(self):
+        N = 2000
+        T1, T2 = np.random.default_rng(5).integers(-(N - 1), N, size=(2, 20_000))
+        edge = np.array([-(N - 1), -(N - 2), -1, 0, 1, N - 2, N - 1])
+        E1, E2 = (T.ravel() for T in np.meshgrid(edge, edge, indexing="ij"))
+        T1, T2 = np.concatenate([T1, E1]), np.concatenate([T2, E2])
+        want = [canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
+        assert decoded(spectra._orbit_codes(T1, T2)) == want
+
+    def test_order_as_the_lag_tuples(self):
+        lags = [(-5, 3), (-5, 4), (-4, -9), (0, 0), (2, -7), (2, 1), (7, 7)]
+        codes = spectra._encode(*np.array(lags).T)
+        assert np.all(np.diff(codes) > 0)
+        assert decoded(codes) == lags
+
+
+@st.composite
+def batch_cases(draw):
+    """A series (iid, or constant) and two batches of lags, with repeats and
+    lags whose orbit has no summands."""
+    N = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        values = np.random.default_rng(draw(st.integers(0, 2 ** 32))).standard_normal(N) ** 2
+    else:
+        values = np.full(N, draw(st.floats(-1e3, 1e3)))
+    lag = st.tuples(st.integers(-N - 3, N + 3), st.integers(-N - 3, N + 3))
+    pool = draw(st.lists(lag, max_size=30))
+    batch = (st.lists(st.sampled_from(pool), max_size=60) if pool
+             else st.just([]))
+    return TimeSeries(values), draw(batch), draw(batch)
+
+
+class TestLagCacheBatch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batch_cases())
+    def test_matches_compute_bit_for_bit(self, case):
+        series, first, second = case
+        cache = BispectrumLagCache(series)
+        oracle = BispectrumLagCache(series)
+        for batch in (first, second):
+            T1 = np.array([t for t, _ in batch], np.int64)
+            T2 = np.array([t for _, t in batch], np.int64)
+            got = cache.cumulant_batch(T1, T2)
+            assert got.dtype == np.float64 and got.shape == (len(batch),)
+            assert got.tolist() == [oracle._compute(*canonical_lag(a, b))
+                                    for a, b in batch]
+
+    def test_each_orbit_computed_once(self, series, monkeypatch):
+        computed = []
+        cache = BispectrumLagCache(series)
+        compute = cache._compute_orbits
+        monkeypatch.setattr(cache, "_compute_orbits",
+                            lambda codes: computed.extend(codes.tolist()) or compute(codes))
+        ax = np.arange(-12, 13)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        for half in (slice(0, 300), slice(300, None), slice(None)):
+            cache.cumulant_batch(T1[half], T2[half])
+        orbits = {canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
+        assert sorted(decoded(np.array(computed))) == sorted(orbits)
+
+    def test_empty_input(self, series):
+        got = BispectrumLagCache(series).cumulant_batch(np.array([], int), np.array([], int))
+        assert got.dtype == np.float64
+        assert got.shape == (0,)
+
+    def test_orbits_without_summands_are_zero(self):
+        got = BispectrumLagCache(TimeSeries(np.arange(5.0))).cumulant_batch(
+            np.array([5, 0, -3, 9]), np.array([0, -5, 2, 9]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def meshgrid_lag_weights(window, M, N):
+    """The order-3 lags and weights from the whole (2L+1)^2 box at once."""
+    L = spectra._lag_cap(window, M, N)
+    ax = np.arange(-L, L + 1)
+    T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+    inside = np.abs(T1 - T2) < N
+    T1, T2 = T1[inside], T2[inside]
+    w = np.asarray(window.fn(T1 / M, T2 / M), float)
+    keep = w != 0.0
+    return T1[keep], T2[keep], w[keep]
+
+
+class TestLagWeightBlocks:
+    @pytest.mark.parametrize("block", [1000, spectra._LAG_BLOCK])
+    @pytest.mark.parametrize("window,M,N", [(optimal_window(), 1.0, 40),
+                                            (optimal_window(), 1.0, 121),
+                                            (optimal_window(), 2.5, 121),
+                                            (flat_top_rpf(0.51), 5.0, 121),
+                                            (flat_top_rpf(0.51), 30.0, 40)])
+    def test_match_meshgrid(self, monkeypatch, block, window, M, N):
+        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+        monkeypatch.setattr(spectra, "_LAG_BLOCK", block)
+        got = spectra._lag_weights(window, M, N)
+        for a, b in zip(got, meshgrid_lag_weights(window, M, N)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_peak_memory_near_what_is_kept(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+        spectra._lag_weights(optimal_window(), 1.0, 30)  # imports, constants
+        tracemalloc.start()
+        try:
+            kept = spectra._lag_weights(optimal_window(), 1.0, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept[0].size == 3 * 600 * 600 - 3 * 600 + 1
+        assert peak < 1.5 * sum(a.nbytes for a in kept)
 
 
 class TestSpectrum:
