@@ -285,9 +285,14 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     cumulant at tau0 in each of B replicates, and returns
     (sigma_hat, k = 2 sigma_hat) with sigma_hat = sqrt(N) times the
     replicate standard deviation — an approximate 95% simultaneous bound.
+    `tau0` is one lag (an int or a tuple of ints) or a list of lag tuples,
+    reduced from one set of resamples to a list of (sigma_hat, k), each what
+    a call with that lag alone returns.  A replicate with zero variance or a
+    non-finite rho raises `DegenerateSeriesError`.
     """
-    taus = (int(tau0),) if np.ndim(tau0) == 0 else tuple(int(t) for t in tau0)
-    if any(t < 0 for t in taus):
+    many = isinstance(tau0, (list, tuple)) and any(np.ndim(t) for t in tau0)
+    lags = [tuple(int(t) for t in np.atleast_1d(u)) for u in (tau0 if many else [tau0])]
+    if any(t < 0 for taus in lags for t in taus):
         raise ValueError("tau0 components must be nonnegative")
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
@@ -299,21 +304,18 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
         raise ValueError("block length must be >= 1")
     if N < 2 * block_length:
         raise ValueError(f"series of length {N} too short for blocks of {block_length}")
-
-    gamma = max(taus + (0,))
-    n_terms = N - gamma
-    if n_terms < 1:
+    if any(t >= N for taus in lags for t in taus):
         raise ValueError("tau0 exceeds the series length")
 
     # replicate r is the blocks x[s:s + block_length] (indices mod N) for its
     # starts s, concatenated and cut to N; replicates are built and reduced
-    # a chunk of rows at a time, each row on its own
+    # a chunk of rows at a time, each row on its own, for every lag
     rng = np.random.Generator(np.random.Philox(seed))
     n_blocks = -(-N // block_length)
     starts = rng.integers(0, N, size=(B, n_blocks))
     blocks = sliding_window_view(np.concatenate([x, x[:block_length - 1]]),
                                  block_length)
-    rhos = np.empty(B)
+    rhos = np.empty((len(lags), B))
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * N))
     for i in range(0, B, rows):
         chunk = starts[i:i + rows]
@@ -322,28 +324,36 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
         var = (y * y).sum(axis=1) / N
         if np.any(var <= 0.0):
             raise DegenerateSeriesError("bootstrap replicate with zero variance")
-        prod = y[:, :n_terms].copy()
-        for t in taus:
-            prod *= y[:, t:t + n_terms]
-        num = prod.sum(axis=1) / N
-        rhos[i:i + rows] = num / var ** ((len(taus) + 1) / 2.0)
-    sigma_hat = math.sqrt(N) * float(np.std(rhos, ddof=1))
-    return sigma_hat, 2.0 * sigma_hat
+        for rho, taus in zip(rhos, lags):
+            n_terms = N - max(taus + (0,))
+            prod = y[:, :n_terms].copy()
+            for t in taus:
+                prod *= y[:, t:t + n_terms]
+            rho[i:i + rows] = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
+    if not np.isfinite(rhos).all():
+        raise DegenerateSeriesError("bootstrap replicate with a non-finite rho")
+    sigmas = [math.sqrt(N) * float(np.std(rho, ddof=1)) for rho in rhos]
+    return [(s, 2.0 * s) for s in sigmas] if many else (sigmas[0], 2.0 * sigmas[0])
 
 
-def _flat_top_pilots(series, c, calibrate, seed):
+def _bootstrap_ks(series, lag_pairs, seed):
+    """max(k, 1e-3) at both lags of each pair in `lag_pairs`: the first lags
+    from one bootstrap drawn with `seed`, the second from one with seed + 1."""
+    found = [bootstrap_threshold(series, lags, seed=None if seed is None else seed + i)
+             for i, lags in enumerate(zip(*lag_pairs))]
+    return [[max(k, 1e-3) for _, k in ks] for ks in zip(*found)]
+
+
+# the lags of the calibrated pilot thresholds of the 1-D and 2-D rules; the
+# 2-D rule thresholds a whole annulus with one k, so it takes a boundary lag
+_PILOT_LAGS = ((3,), (3, 0))
+
+
+def _flat_top_pilots(series, c, k2d=2.0, k3d=2.0):
     # both pilot bandwidths come from the general selection rule (1-D and
     # 2-D annuli respectively), giving real-valued M = m / b; thresholds
     # are bootstrap-calibrated by default since the fluctuation scale of
     # higher-order cumulants is model-dependent
-    k2d = k3d = 2.0
-    if calibrate:
-        _, k2d = bootstrap_threshold(series, (3,), seed=seed)
-        # calibrate at a boundary lag: the 2-D rule thresholds every lag
-        # in the annulus with one k, and boundary lags fluctuate most
-        _, k3d = bootstrap_threshold(series, (3, 0),
-                                     seed=None if seed is None else seed + 1)
-        k2d, k3d = max(k2d, 1e-3), max(k3d, 1e-3)
     sel2 = select_bandwidth_general(series, order=2, k=k2d, b=c)
     sel3 = select_bandwidth_general(series, order=3, k=k3d, b=c)
     return trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0)
@@ -394,21 +404,27 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
     omegas = np.asarray(omegas, float)
     if omegas.ndim != 2 or omegas.shape[1] != 2 or len(omegas) == 0:
         raise ValueError("omegas must be a nonempty sequence of (w1, w2) pairs")
-    N = series.n
-    if cap is None:
-        cap = N / 4.0
-
-    if pilot == "flat-top":
-        spec_win, M2, bisp_win, M3 = _flat_top_pilots(series, c, calibrate, seed)
+    if pilot == "second-order":
+        pilots = _second_order_pilots(series)
     else:
-        spec_win, M2, bisp_win, M3 = _second_order_pilots(series)
+        ks = _bootstrap_ks(series, [_PILOT_LAGS] if calibrate else [], seed)
+        pilots = _flat_top_pilots(series, c, *(ks[0] if ks else ()))
+    return _plugin_selections(window, series, omegas, pilot, pilots, cap)
+
+
+def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
+    """`plugin_bandwidth` at the (w1, w2) pairs of `omegas`, given its pilot
+    windows and bandwidths (spectrum window, M2, bispectrum window, M3)."""
+    N = series.n
+    cap = N / 4.0 if cap is None else cap
+    spec_win, M2, bisp_win, M3 = pilots
     T1, T2, w, C, _, _ = _bispectrum_lags(series, bisp_win, M3)
     curvature_terms = _curvature_terms(T1, T2, w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
     selections = []
-    for w1, w2 in omegas.tolist():
+    for w1, w2 in np.asarray(omegas, float).tolist():
         f1 = estimate_spectrum(series, spec_win, M2, w1).value
         f2 = estimate_spectrum(series, spec_win, M2, w2).value
         f12 = estimate_spectrum(series, spec_win, M2, w1 + w2).value

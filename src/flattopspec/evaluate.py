@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import (
-    bootstrap_threshold,
-    plugin_bandwidth,
+    _PILOT_LAGS,
+    _bootstrap_ks,
+    _flat_top_pilots,
+    _plugin_selections,
+    _second_order_pilots,
     select_bandwidth_bispectrum,
 )
 from .exceptions import DegenerateSeriesError
@@ -186,8 +189,9 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                     for rep in range(R):
                         series = generate(spec, N, replication=rep)
                         if bw == "auto":
-                            M = _selection_rule_bandwidth(series, c, calibrate,
-                                                          rep_seed=2 * rep)
+                            ks = (_bootstrap_ks(series, [_A_LAGS], 2 * rep)[0]
+                                  if calibrate else ())
+                            M = _selection_rule_bandwidth(series, c, *ks)
                         else:
                             M = float(bw)
                         cache = BispectrumLagCache(series)
@@ -244,15 +248,12 @@ class ProcedureResult:
         return float(np.mean(self.bandwidths))
 
 
-def _selection_rule_bandwidth(series, c, calibrate, rep_seed):
+_A_LAGS = ((3, 0), (6, 3))  # the lags of procedure (a)'s calibrated k1 and k2
+
+
+def _selection_rule_bandwidth(series, c, k1=2.0, k2=2.0):
     """Procedure (a): the bispectrum selection rule."""
-    if calibrate:
-        _, k1 = bootstrap_threshold(series, (3, 0), seed=rep_seed)
-        _, k2 = bootstrap_threshold(series, (6, 3), seed=rep_seed + 1)
-        sel = select_bandwidth_bispectrum(series, k1=max(k1, 1e-3),
-                                          k2=max(k2, 1e-3), b=c)
-    else:
-        sel = select_bandwidth_bispectrum(series, b=c)
+    sel = select_bandwidth_bispectrum(series, k1=k1, k2=k2, b=c)
     return max(sel.M_hat, 1.0)
 
 
@@ -264,16 +265,21 @@ _PLUGIN_PROCEDURES = {
 
 
 def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
-    """Bandwidth of each procedure on one series; the plug-in procedures that
-    share a pilot share one `plugin_bandwidth` call."""
+    """Bandwidth of each procedure on one series.  Procedure (a), if calibrated,
+    and the flat-top pilots share two bootstraps, seeded rep_seed and + 1."""
+    flat_top = any(p in _PLUGIN_PROCEDURES["flat-top"] for p in procedures)
+    pairs = [_A_LAGS] * (calibrate and "a" in procedures) + [_PILOT_LAGS] * flat_top
+    ks = dict(zip(pairs, _bootstrap_ks(series, pairs, rep_seed)))
     chosen = {}
     if "a" in procedures:
-        chosen["a"] = _selection_rule_bandwidth(series, c, calibrate, rep_seed)
+        chosen["a"] = _selection_rule_bandwidth(series, c, *ks.get(_A_LAGS, ()))
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:
-            sels = plugin_bandwidth(window, series, [points[p] for p in group],
-                                    pilot=pilot, c=c, seed=rep_seed)
+            pilots = (_flat_top_pilots(series, c, *ks[_PILOT_LAGS])
+                      if pilot == "flat-top" else _second_order_pilots(series))
+            sels = _plugin_selections(window, series, [points[p] for p in group],
+                                      pilot, pilots)
             chosen.update((p, sel.M_hat) for p, sel in zip(group, sels))
     return chosen
 

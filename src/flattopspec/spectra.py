@@ -85,11 +85,11 @@ def _orbit_codes(T1, T2) -> np.ndarray:
     return codes
 
 
-# bytes of the rows of one factor of a product in a chunk of
-# `BispectrumLagCache.cumulant_batch`; a chunk gathers all three factors at
-# once.  Of 64, 128, 384 and 1000 KB for all three, 384 KB was fastest for
-# the order-3 selection rule on iid series at N = 400 and N = 2000.
-_ROW_CHUNK_BYTES = 128_000
+# bytes of the y_b rows, the one factor gathered, in a chunk of
+# `BispectrumLagCache._compute_orbits`.  Of 128, 256, 512 and 1000 KB, 512 KB
+# was fastest on the orbits of the order-3 selection rule at its cap on iid
+# series at N = 2000, and tied with 256 KB at N = 400.
+_ROW_CHUNK_BYTES = 512_000
 
 
 @dataclass
@@ -118,10 +118,10 @@ class BispectrumLagCache:
 
     Two stores serve two access patterns.  `cumulant` and `cumulants` look
     each lag up in a dict keyed by `canonical_lag`, computing a missing orbit
-    with `_compute`: one closed-form representative and one dict access per
-    lag.  `cumulant_batch` canonicalizes a whole array of lags at once and
-    keeps its orbits in sorted arrays of integer codes and values.  Each
-    store computes an orbit at most once, with the bits of `_compute`.
+    with `_compute`.  `cumulant_batch` canonicalizes a whole array of lags at
+    once, keeps its orbits in sorted arrays of integer codes and values, and
+    computes new orbits by runs of equal t1, gathering one factor per orbit.
+    Each store computes an orbit at most once, with the bits of `_compute`.
     """
 
     def __init__(self, series: TimeSeries):
@@ -179,7 +179,7 @@ class BispectrumLagCache:
     def cumulant_batch(self, T1, T2) -> np.ndarray:
         """`cumulant` at each lag pair (T1[i], T2[i]), as a float array, in one
         batched pass: the orbits not seen by an earlier batch are computed
-        once each, grouped by summand count."""
+        once each, in runs of equal t1 (`_compute_orbits`)."""
         codes = _orbit_codes(T1, T2)
         new = np.sort(codes)
         first = np.empty(new.size, bool)
@@ -192,46 +192,39 @@ class BispectrumLagCache:
             fresh = known[pos.clip(max=known.size - 1)] != new
             pos, new = pos[fresh], new[fresh]
         if new.size:
+            # both sorted and disjoint: inserting keeps the codes sorted
             vals = self._compute_orbits(new)
-            if known.size:
-                # both sorted and disjoint: inserting keeps the codes sorted
-                new = np.insert(known, pos, new)
-                vals = np.insert(self._batch_vals, pos, vals)
-            self._batch_codes, self._batch_vals = new, vals
+            self._batch_vals = np.insert(self._batch_vals, pos, vals)
+            self._batch_codes = np.insert(known, pos, new)
         return self._batch_vals[np.searchsorted(self._batch_codes, codes)]
 
     def _compute_orbits(self, codes) -> np.ndarray:
-        """`_compute` at the representative of each code.  The orbits with
-        equal summand count n = N - gamma are rows of one length, whose
-        products (y_a * y_b) * y_0 reduce together, a chunk at a time."""
-        N = self.series.n
+        """`_compute` at the representative (t1, t2) of each code, for codes
+        in ascending order.  A representative has t1 >= t2 >= 0, or its image
+        (t2, t1) or (t1 - t2, -t2) would be larger, so it sums the n = N - t1
+        terms of (y[t1:] * y[t2:t2 + n]) * y[:n].  The orbits of one t1 are a
+        run of the codes and share y[t1:] and y[:n]; only their y[t2:t2 + n]
+        rows are gathered, a chunk at a time."""
+        y, N = self._y, self.series.n
         t1, t2 = _decode(codes)
-        alpha = np.minimum(np.minimum(t1, t2), 0)
-        n_terms = N - (np.maximum(np.maximum(t1, t2), 0) - alpha)
-        by_n = np.argsort(n_terms, kind="stable")
-        n_terms = n_terms[by_n]
-        # where y_a, y_b and y_0 of each orbit's product start, one row each
-        starts = (np.stack([t1, t2, np.zeros_like(t1)]) - alpha)[:, by_n]
         # row s of `windows` is y[s:s + N], zero past the end of the series
-        windows = sliding_window_view(np.concatenate([self._y, np.zeros(N - 1)]), N)
+        windows = sliding_window_view(np.concatenate([y, np.zeros(N - 1)]), N)
         sums = np.zeros(codes.size)
-        edges = (np.flatnonzero(np.diff(n_terms)) + 1).tolist()
+        edges = (np.flatnonzero(np.diff(t1)) + 1).tolist()
         for lo, hi in zip([0, *edges], [*edges, codes.size]):
-            n = int(n_terms[lo])
+            n = N - int(t1[lo])
             if n < 1:
-                continue
+                break  # so do the orbits after it
             rows = windows[:, :n]
             step = max(1, _ROW_CHUNK_BYTES // (8 * n))
             for i in range(lo, hi, step):
                 j = min(i + step, hi)
-                ya, yb, y0 = rows[starts[:, i:j]]
-                ya *= yb
-                ya *= y0
-                ya.sum(axis=1, out=sums[i:j])
+                prod = rows[t2[i:j]]
+                prod *= y[N - n:]  # y_b * y_a, which equals y_a * y_b
+                prod *= y[:n]
+                prod.sum(axis=1, out=sums[i:j])
         sums /= N
-        out = np.empty(codes.size)
-        out[by_n] = sums
-        return out
+        return sums
 
 
 def autocumulants(series: TimeSeries, taus) -> np.ndarray:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flattopspec import (
     DegenerateSeriesError,
@@ -437,6 +439,82 @@ class TestBootstrap:
             want = bootstrap_threshold_modulo(s, tau0, block_length=block_length,
                                               B=B, seed=B + N)
             assert got == want, (tau0, column)
+
+    @pytest.mark.parametrize("scale", [1e110, 1e-110, 2.0 ** 400, 2.0 ** -400],
+                             ids=["1e110", "1e-110", "2^400", "2^-400"])
+    @pytest.mark.parametrize("tau0", [(3, 0), (6, 3), [(3,), (3, 0)]],
+                             ids=["3,0", "6,3", "list"])
+    def test_nonfinite_rho_is_degenerate(self, scale, tau0):
+        # rho's numerator or var^(3/2) overflows or underflows, so replicates
+        # read nan, and a nan k would block nothing
+        s = generate(ModelSpec(kind="garch11", seed=0), 400)
+        with np.errstate(all="ignore"), pytest.raises(DegenerateSeriesError,
+                                                      match="non-finite"):
+            bootstrap_threshold(TimeSeries(s.values * scale), tau0, seed=0)
+
+
+@st.composite
+def lag_list_cases(draw):
+    """A series, a block length that divides N or need not, B, and a list of
+    1-D and 2-D lags with repeats."""
+    N = draw(st.integers(20, 410))
+    divisors = [d for d in range(1, N // 2 + 1) if N % d == 0]
+    block_length = draw(st.one_of(st.none(), st.sampled_from(divisors),
+                                  st.integers(1, N // 2)))
+    lag = st.one_of(st.tuples(st.integers(0, N - 1)),
+                    st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)))
+    pool = draw(st.lists(lag, min_size=1, max_size=4))
+    lags = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2 ** 32))
+    x = np.random.default_rng(seed).standard_normal(N) ** 2
+    return TimeSeries(x), block_length, draw(st.sampled_from([100, 133, 500])), lags, seed
+
+
+class TestBootstrapLagList:
+    """One call with a list of lags reduces them all from one set of
+    resamples, and gives each lag what a call with it alone gives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lag_list_cases())
+    def test_equals_one_call_per_lag(self, case):
+        s, block_length, B, lags, seed = case
+        got = bootstrap_threshold(s, lags, block_length=block_length, B=B, seed=seed)
+        assert isinstance(got, list) and len(got) == len(lags)
+        for lag, pair in zip(lags, got):
+            kw = {"block_length": block_length, "B": B, "seed": seed}
+            assert pair == bootstrap_threshold(s, lag, **kw), lag
+            assert pair == bootstrap_threshold_modulo(s, lag, **kw), lag
+
+    def test_single_lag_keeps_its_return(self):
+        s = generate(ModelSpec(kind="arma11", seed=0), 300)
+        for tau0 in (3, (3,), [3, 0], (6, 3)):
+            sigma, k = bootstrap_threshold(s, tau0, seed=1)
+            assert isinstance(sigma, float) and k == 2.0 * sigma
+        assert bootstrap_threshold(s, [(3, 0)], seed=1) == [
+            bootstrap_threshold(s, (3, 0), seed=1)]
+
+    def test_lag_beyond_series_rejected_before_resampling(self, monkeypatch):
+        s = TimeSeries(np.random.default_rng(1).normal(size=50))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("resamples drawn for a lag the series cannot hold")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        for lags in ([(3, 0), (50,)], [(3,), (6, 3), (2, 50)], [(49, 0), (0, 200)]):
+            with pytest.raises(ValueError, match="exceeds the series length"):
+                bootstrap_threshold(s, lags, seed=0)
+
+    def test_two_lags_in_the_working_set_of_one(self):
+        # the chunked bootstrap of one lag peaks at about 0.69 MB at N = 400
+        s = generate(ModelSpec(kind="iid-chisq1", seed=0), 400)
+        bootstrap_threshold(s, [(3, 0), (6, 3)], seed=0)  # imports
+        tracemalloc.start()
+        try:
+            bootstrap_threshold(s, [(3, 0), (6, 3)], seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7e6
 
 
 class TestPluginFormula:

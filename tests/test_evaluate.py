@@ -169,6 +169,39 @@ class TestHistogramStudy:
                                   R=3, procedures=("b",))
         assert seeds == [0, 1, 2, 3, 4, 5]
 
+    def test_calibrated_study_draws_twice_per_replication(self, monkeypatch):
+        # procedure a's (3, 0) and the pilots' (3,) share the resamples of
+        # seed s, and a's (6, 3) and the pilots' (3, 0) those of seed s + 1;
+        # a series' own Philox is seeded with a SeedSequence
+        specs = [ModelSpec("iid-chisq1", seed=13), ModelSpec("arma11", seed=13)]
+        draws = []
+        real_philox = np.random.Philox
+
+        def philox_spy(seed=None):
+            if not isinstance(seed, np.random.SeedSequence):
+                draws.append(seed)
+            return real_philox(seed)
+
+        monkeypatch.setattr(np.random, "Philox", philox_spy)
+        shared = bandwidth_histogram_study(specs, N_list=(200,), R=3, calibrate=True)
+        assert draws == [0, 1, 2, 3, 4, 5] * len(specs)
+        monkeypatch.undo()
+
+        real = bandwidth.bootstrap_threshold
+
+        split = []
+
+        def one_lag_per_call(series, tau0, **kwargs):
+            split.append(len(tau0))
+            return [real(series, lag, **kwargs) for lag in tau0]
+
+        monkeypatch.setattr(bandwidth, "bootstrap_threshold", one_lag_per_call)
+        separate = bandwidth_histogram_study(specs, N_list=(200,), R=3, calibrate=True)
+        assert split == [2, 2] * 3 * len(specs)
+        assert [r.procedure for r in shared] == [r.procedure for r in separate]
+        for a, b in zip(shared, separate):
+            np.testing.assert_array_equal(a.bandwidths, b.bandwidths)
+
     def test_unknown_procedure_rejected(self):
         with pytest.raises(ValueError, match="unknown procedures"):
             bandwidth_histogram_study([ModelSpec("iid-chisq1")], N_list=(200,),

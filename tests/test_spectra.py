@@ -140,6 +140,23 @@ class TestOrbitCodes:
         want = [canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
         assert decoded(spectra._orbit_codes(T1, T2)) == want
 
+    def test_representatives_have_t1_at_least_t2_at_least_zero(self):
+        # `_compute_orbits` relies on it: alpha = 0 and n = N - t1
+        ax = np.arange(-300, 301)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        t1, t2 = spectra._decode(spectra._orbit_codes(T1, T2))
+        assert np.all(t1 >= t2) and np.all(t2 >= 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-(2 ** 29) + 1, 2 ** 29 - 1),
+                              st.integers(-(2 ** 29) + 1, 2 ** 29 - 1)),
+                    min_size=1, max_size=20))
+    def test_representatives_ordered_up_to_the_code_range(self, lags):
+        T1, T2 = np.array(lags, np.int64).T
+        t1, t2 = spectra._decode(spectra._orbit_codes(T1, T2))
+        assert np.all(t1 >= t2) and np.all(t2 >= 0)
+        assert list(zip(t1.tolist(), t2.tolist())) == [canonical_lag(*lag) for lag in lags]
+
     def test_order_as_the_lag_tuples(self):
         lags = [(-5, 3), (-5, 4), (-4, -9), (0, 0), (2, -7), (2, 1), (7, 7)]
         codes = spectra._encode(*np.array(lags).T)
@@ -195,6 +212,31 @@ class TestLagCacheBatch:
         got = BispectrumLagCache(series).cumulant_batch(np.array([], int), np.array([], int))
         assert got.dtype == np.float64
         assert got.shape == (0,)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_shortest_series(self, N):
+        ax = np.arange(-N - 1, N + 2)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        for values in (np.arange(1.0, N + 1) ** 2, np.full(N, 2.5)):
+            cache = BispectrumLagCache(TimeSeries(values))
+            got = cache.cumulant_batch(T1, T2)
+            assert got.tolist() == [cache._compute(*canonical_lag(a, b))
+                                    for a, b in zip(T1.tolist(), T2.tolist())]
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 800, 4000])
+    def test_runs_spanning_several_chunks(self, monkeypatch, chunk_bytes):
+        # at N = 120 the run of t1 holds t1 + 1 orbits, and a chunk of b
+        # bytes max(1, b // (8 n)) rows of n = 120 - t1 values: one row at
+        # 8 bytes, one to 100 at 800 and 4 to 500 at 4000, so runs of up to
+        # 120 orbits span many chunks, full and partial
+        monkeypatch.setattr(spectra, "_ROW_CHUNK_BYTES", chunk_bytes)
+        s = TimeSeries(np.random.default_rng(7).standard_normal(120) ** 2)
+        ax = np.arange(-125, 126)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        cache = BispectrumLagCache(s)
+        got = cache.cumulant_batch(T1, T2)
+        assert got.tolist() == [cache._compute(*canonical_lag(a, b))
+                                for a, b in zip(T1.tolist(), T2.tolist())]
 
     def test_orbits_without_summands_are_zero(self):
         got = BispectrumLagCache(TimeSeries(np.arange(5.0))).cumulant_batch(
