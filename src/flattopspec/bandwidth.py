@@ -73,12 +73,9 @@ class BandwidthSelection:
     params: dict = field(default_factory=dict)
 
 
-_CAP_WARNING = ("bandwidth selection stopped at its search cap; "
-                "the returned bandwidth is the cap (cap_hit=True)")
-
-
 def _warn_cap():
-    warnings.warn(_CAP_WARNING, UserWarning, stacklevel=3)
+    warnings.warn("bandwidth selection stopped at its search cap; the returned "
+                  "bandwidth is the cap (cap_hit=True)", UserWarning, stacklevel=3)
 
 
 def _log_threshold(k: float, N: int, base: float) -> float:
@@ -111,6 +108,28 @@ def _lags_by_norm(R: int, dim: int, norm: str):
     return lags, key
 
 
+def _scan(cap, window):
+    """The first m in 1..cap whose window lags[lo:hi] of an ordered lag list
+    has no |rho| >= threshold.  `window(m)` returns (lo, hi), then rho and the
+    thresholds at the lags it appended to the list to reach hi (or empties).
+    Returns m_hat, cap_hit, the index of the first exceedance of each blocked
+    window, in increasing m, and rho at every lag of the list."""
+    rho = np.empty(0)
+    exceed = np.empty(0, np.int64)  # the indices where |rho| >= threshold
+    firsts = []
+    for m in range(1, cap + 1):
+        lo, hi, new_rho, new_thr = window(m)
+        if len(new_rho):
+            exceed = np.concatenate(
+                [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= new_thr)])
+            rho = np.concatenate([rho, new_rho])
+        j = int(np.searchsorted(exceed, lo))
+        if j == exceed.size or exceed[j] >= hi:
+            return m, False, firsts, rho
+        firsts.append(int(exceed[j]))
+    return cap, True, firsts, rho
+
+
 def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
                              a_N: int = 5, b: float = 0.51,
                              norm: str = "euclidean", log_base: float = 10.0,
@@ -119,14 +138,11 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     m <= ||tau|| < m + a_N; returns M = m / b.
 
     The search is capped at m <= N/4; hitting the cap sets `cap_hit`, warns
-    and returns the cap rather than raising.  The lags are enumerated once,
-    sorted by norm, so each annulus is a contiguous run of them, and the
-    witness of each blocked annulus is its first lag with |rho| >= threshold.
-    At order 2, rho is evaluated at most once per lag, in that order, and only
-    until the first exceedance of each annulus.  At order 3, each time the
-    lag list grows, rho at all the new lags comes from one batched pass over
-    their cumulant orbits (`BispectrumLagCache.cumulant_batch`) into one
-    float array, and the scan searches the indices of its exceedances.
+    and returns the cap rather than raising.  The lags are sorted by norm, so
+    each annulus is a contiguous run of them, and the witness of a blocked
+    annulus is its first lag with |rho| >= threshold.  Each time the list
+    grows, rho at its new lags comes from `normalized_cumulant` at order 2
+    and from one `BispectrumLagCache.cumulant_batch` pass at order 3.
     """
     if k <= 0 or a_N < 1 or not 0 < b <= 1:
         raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
@@ -142,57 +158,33 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     if dim == 2:
         lag_cache = BispectrumLagCache(series)
         denom = lag_cache.rho_denominator()
-        # rho at lags[:rho.size], and the indices where |rho| >= thr
-        rho = np.empty(0)
-        exceed = np.empty(0, np.int64)
+    squared = dim == 2 and norm == "euclidean"
+    lags, keys, R = None, np.empty(0, np.int64), 0
 
-    def first_exceedance(lo, hi):
-        """(index, rho) of the first lag in lags[lo:hi] with |rho| >= thr."""
-        if dim == 2:
-            j = int(np.searchsorted(exceed, lo))
-            if j < exceed.size and exceed[j] < hi:
-                return int(exceed[j]), float(rho[exceed[j]])
-            return None
-        for i in range(lo, hi):
-            r = normalized_cumulant(series, (int(lags[i, 0]),))
-            if abs(r) >= thr:
-                return i, r
-        return None
-
-    def radius_key(r):
-        return r * r if dim == 2 and norm == "euclidean" else r
-
-    # lags[witness] is the last witness, the first exceedance of its annulus
-    R = 0
-    witness = -1
-    trace = []
-    m_hat, cap_hit = cap, True
-    for m in range(1, cap + 1):
+    def annulus(m):
+        nonlocal lags, keys, R
+        new_rho = ()
         if m + a_N > R:
             # the lags with norm below the old R stay a prefix of the new list
             R = min(max(2 * R, 2 * (m + a_N)), cap + a_N)
+            old = keys.size
             lags, keys = _lags_by_norm(R, dim, norm)
+            new = lags[old:]
             if dim == 2:
-                new = lags[rho.size:]
                 new_rho = lag_cache.cumulant_batch(new[:, 0], new[:, 1])
                 new_rho /= denom
-                exceed = np.concatenate(
-                    [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= thr)])
-                rho = np.concatenate([rho, new_rho])
-        lo = int(np.searchsorted(keys, radius_key(m)))
-        hi = int(np.searchsorted(keys, radius_key(m + a_N)))
-        if witness >= lo:
-            # the last witness lies in this annulus too, and no lag before it does
-            trace.append(trace[-1])
-            continue
-        hit = first_exceedance(lo, hi)
-        if hit is None:
-            m_hat, cap_hit = m, False
-            break
-        witness, r = hit
-        trace.append((tuple(lags[witness].tolist()), r))
+            else:
+                new_rho = np.array([normalized_cumulant(series, (t,))
+                                    for t in new[:, 0].tolist()])
+        lo, hi = (m * m, (m + a_N) ** 2) if squared else (m, m + a_N)
+        return np.searchsorted(keys, lo), np.searchsorted(keys, hi), new_rho, thr
+
+    m_hat, cap_hit, firsts, rho = _scan(cap, annulus)
     if cap_hit:
         _warn_cap()
+    # a witness that blocks several annuli is one entry, repeated
+    entry = {f: (tuple(lags[f].tolist()), float(rho[f])) for f in firsts}
+    trace = [entry[f] for f in firsts]
     return BandwidthSelection(
         M_hat=m_hat / b, m_hat=m_hat, rule="general",
         thresholds={"k": k, "value": thr}, trace=trace, cap_hit=cap_hit,
@@ -223,6 +215,9 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     l = 1..L, where k~ = k1 at the boundary point (1,0) and k2 elsewhere.
     The bandwidth is floor(i / b) with i the first coordinate of P_{m_hat},
     so b = c = 0.51 yields only odd integers and b = 0.5 only even ones.
+    The scan starts at P_2, so P_1 = (1,0) is never examined for m >= 1 and
+    k1 never affects a selection.  Rho at each growth of the point list comes
+    from one `cumulant_batch` pass; the trace lists every (point, rho) seen.
     """
     if k1 <= 0 or k2 <= 0 or L < 1 or not 0 < b <= 1:
         raise ValueError("need k1, k2 > 0, L >= 1, b in (0, 1]")
@@ -232,35 +227,30 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
         cap = max(1, N // 4)
     cache = BispectrumLagCache(series)
     denom = cache.rho_denominator()
+    size = 0  # P_1 .. P_size are at indices 0 .. size - 1 of the list
 
-    rho_cache: dict = {}
+    def points(m):
+        # window m is P_{m+1} .. P_{m+L}
+        nonlocal size
+        new_rho = new_thr = ()
+        if m + L > size:
+            new = [lex_point(n) for n in range(
+                size + 1, min(max(2 * size, m + L), cap + L) + 1)]
+            size += len(new)
+            T1, T2 = np.array(new).T
+            new_rho = cache.cumulant_batch(T1, T2)
+            new_rho /= denom
+            new_thr = np.array([(k1 if p == (1, 0) else k2) * base for p in new])
+        return m, m + L, new_rho, new_thr
 
-    def rho(n):
-        val = rho_cache.get(n)
-        if val is None:
-            p = lex_point(n)
-            val = cache.cumulant(*p) / denom
-            rho_cache[n] = val
-        return val
-
-    trace = []
-    m_hat, cap_hit = cap, True
-    for m in range(1, cap + 1):
-        ok = True
-        for ell in range(1, L + 1):
-            n = m + ell
-            point = lex_point(n)
-            ktil = k1 if point == (1, 0) else k2
-            r = rho(n)
-            trace.append((point, r))
-            if abs(r) >= ktil * base:
-                ok = False
-                break
-        if ok:
-            m_hat, cap_hit = m, False
-            break
+    m_hat, cap_hit, firsts, rho = _scan(cap, points)
     if cap_hit:
         _warn_cap()
+    # window m examined its points up to its first exceedance; m_hat all L
+    rho = rho.tolist()
+    ends = firsts if cap_hit else [*firsts, m_hat + L - 1]
+    trace = [(lex_point(i + 1), rho[i])
+             for m, end in enumerate(ends, start=1) for i in range(m, end + 1)]
     i = lex_point(m_hat)[0]
     return BandwidthSelection(
         M_hat=float(math.floor(i / b)), m_hat=m_hat, rule="bispectrum",

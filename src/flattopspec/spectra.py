@@ -4,8 +4,8 @@ Everything is direct summation over lags: the bandwidths in play are small,
 so the window's support box (`support_radius * M`, capped at N - 1) limits
 the work, and the estimates are exact sums.  A third-order sample cumulant
 is computed once per orbit of the six cumulant symmetries and kept in a dict
-keyed by the orbit's representative (`canonical_lag`); the order-3 selection
-rule asks for many lags at once and gets them in one batched pass.
+keyed by the orbit's representative (`canonical_lag`); the selection rules
+ask for many lags at once and get them in one batched pass.
 """
 from __future__ import annotations
 
@@ -116,12 +116,13 @@ class BispectrumLagCache:
     """Third-order sample cumulants of one series, one value per orbit of six
     lag pairs under the cumulant symmetries.
 
-    Two stores serve two access patterns.  `cumulant` and `cumulants` look
-    each lag up in a dict keyed by `canonical_lag`, computing a missing orbit
-    with `_compute`.  `cumulant_batch` canonicalizes a whole array of lags at
-    once, keeps its orbits in sorted arrays of integer codes and values, and
-    computes new orbits by runs of equal t1, gathering one factor per orbit.
-    Each store computes an orbit at most once, with the bits of `_compute`.
+    Two stores serve two access patterns.  `cumulants`, which the frequency
+    sums use, looks each lag up in a dict keyed by `canonical_lag`, computing
+    a missing orbit with `_compute`.  `cumulant_batch`, which both selection
+    rules use, canonicalizes a whole array of lags at once, keeps its orbits
+    in sorted arrays of integer codes and values, and computes new orbits by
+    runs of equal t1, gathering one factor per orbit.  Each store computes an
+    orbit at most once, with the bits of `_compute`.
     """
 
     def __init__(self, series: TimeSeries):
@@ -151,16 +152,9 @@ class BispectrumLagCache:
              * y[-alpha:-alpha + n_terms])
         return float(p.sum() / N)
 
-    def cumulant(self, t1: int, t2: int) -> float:
-        key = canonical_lag(int(t1), int(t2))
-        val = self._vals.get(key)
-        if val is None:
-            val = self._compute(*key)
-            self._vals[key] = val
-        return val
-
     def cumulants(self, T1, T2) -> np.ndarray:
-        """`cumulant` at each lag pair (T1[i], T2[i]), as a float array."""
+        """The cumulant at each lag pair (T1[i], T2[i]), as a float array,
+        looked up lag by lag in the dict keyed by `canonical_lag`."""
         # plain ints hash and compare faster than numpy scalars
         T1 = np.asarray(T1).ravel().tolist()
         T2 = np.asarray(T2).ravel().tolist()
@@ -177,26 +171,23 @@ class BispectrumLagCache:
         return np.array(out, float)
 
     def cumulant_batch(self, T1, T2) -> np.ndarray:
-        """`cumulant` at each lag pair (T1[i], T2[i]), as a float array, in one
-        batched pass: the orbits not seen by an earlier batch are computed
-        once each, in runs of equal t1 (`_compute_orbits`)."""
-        codes = _orbit_codes(T1, T2)
-        new = np.sort(codes)
-        first = np.empty(new.size, bool)
-        first[:1] = True
-        np.not_equal(new[1:], new[:-1], out=first[1:])
-        new = new[first]
+        """`cumulants` at each lag pair (T1[i], T2[i]) in one batched pass:
+        the distinct orbits are looked up in the sorted store, and those not
+        seen by an earlier batch are computed once each, in runs of equal t1
+        (`_compute_orbits`)."""
+        codes, inverse = np.unique(_orbit_codes(T1, T2), return_inverse=True)
         known = self._batch_codes
-        pos = np.searchsorted(known, new)
+        pos = np.searchsorted(known, codes)
+        new = codes
         if known.size:
-            fresh = known[pos.clip(max=known.size - 1)] != new
-            pos, new = pos[fresh], new[fresh]
+            fresh = known[pos.clip(max=known.size - 1)] != codes
+            pos, new = pos[fresh], codes[fresh]
         if new.size:
             # both sorted and disjoint: inserting keeps the codes sorted
             vals = self._compute_orbits(new)
             self._batch_vals = np.insert(self._batch_vals, pos, vals)
             self._batch_codes = np.insert(known, pos, new)
-        return self._batch_vals[np.searchsorted(self._batch_codes, codes)]
+        return self._batch_vals[np.searchsorted(self._batch_codes, codes)][inverse]
 
     def _compute_orbits(self, codes) -> np.ndarray:
         """`_compute` at the representative (t1, t2) of each code, for codes

@@ -24,7 +24,7 @@ from flattopspec import (
     select_bandwidth_bispectrum,
     select_bandwidth_general,
 )
-from flattopspec.spectra import BispectrumLagCache
+from flattopspec.spectra import BispectrumLagCache, canonical_lag
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def brute_force_general(series, order, k, a_N, norm, cap=None):
 
     def rho(tau):
         if tau not in memo:
-            memo[tau] = (lag_cache.cumulant(*tau) / denom if order == 3
-                         else normalized_cumulant(series, tau))
+            memo[tau] = (lag_cache._compute(*canonical_lag(*tau)) / denom
+                         if order == 3 else normalized_cumulant(series, tau))
         return memo[tau]
 
     for m in range(1, cap + 1):
@@ -244,6 +244,23 @@ class TestGeneralRuleOracle:
                        if sort_key(u, norm) < first)
 
 
+class TestGeneralRuleTrace:
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    @pytest.mark.parametrize("model,seed,order", [("garch11", 2, 2),
+                                                  ("iid-chisq1", 0, 3)])
+    def test_repeated_witness_is_one_entry(self, model, seed, order):
+        # a witness that blocks several annuli is the same tuple each time, so
+        # a kept selection holds one entry per distinct witness
+        s = generate(ModelSpec(kind=model, seed=seed), 400)
+        sel = select_bandwidth_general(s, order=order)
+        repeats = 0
+        for prev, entry in zip(sel.trace, sel.trace[1:]):
+            if entry == prev:
+                assert entry is prev
+                repeats += 1
+        assert repeats
+
+
 class TestGeneralRuleWorkingSet:
     """The order-3 rule on iid chi^2_1 series, which stop at the cap, holds a
     bounded working set: rho as one float array, orbits computed in chunks."""
@@ -303,6 +320,18 @@ class TestGeneralRule:
         assert sel.cap_hit
         assert sel.m_hat == 8
 
+    def test_cap_warnings_point_at_the_caller(self):
+        t = np.arange(400)
+        periodic = TimeSeries(np.cos(0.3 * t) + 0.01 * np.sin(1.7 * t))
+        trend = TimeSeries(t.astype(float) ** 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            select_bandwidth_general(periodic, cap=8)
+            select_bandwidth_general(trend, order=3, cap=8)
+            select_bandwidth_bispectrum(trend, cap=8)
+        assert [w.category for w in caught] == [UserWarning] * 3
+        assert [w.filename for w in caught] == [__file__] * 3
+
     def test_trace_records_inspections(self):
         sel = select_bandwidth_general(ma2_series(1000, 4), order=2)
         assert sel.trace
@@ -322,6 +351,71 @@ class TestGeneralRule:
             select_bandwidth_general(s, k=-1.0)
         with pytest.raises(ValueError):
             select_bandwidth_general(s, order=4)
+
+
+def brute_force_bispectrum(series, k1=2.0, k2=2.0, L=5, cap=None):
+    """The bispectrum rule as a per-point scan: window m examines P_{m+1},
+    ..., P_{m+L} in order up to its first exceedance, each rho computed once
+    per point; returns (m_hat, cap_hit, base, trace)."""
+    N = series.n
+    base = math.sqrt(math.log(N) / N)
+    if cap is None:
+        cap = max(1, N // 4)
+    cache = BispectrumLagCache(series)
+    denom = cache.rho_denominator()
+    rho_cache: dict = {}
+
+    def rho(n):
+        if n not in rho_cache:
+            rho_cache[n] = cache._compute(*canonical_lag(*lex_point(n))) / denom
+        return rho_cache[n]
+
+    trace = []
+    for m in range(1, cap + 1):
+        ok = True
+        for ell in range(1, L + 1):
+            point = lex_point(m + ell)
+            ktil = k1 if point == (1, 0) else k2
+            r = rho(m + ell)
+            trace.append((point, r))
+            if abs(r) >= ktil * base:
+                ok = False
+                break
+        if ok:
+            return m, False, base, trace
+    return cap, True, base, trace
+
+
+class TestBispectrumRuleOracle:
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
+    def test_matches_per_point_scan(self, model):
+        cap_hits = 0
+        grid = itertools.product((50, 200, 400), (1, 2, 5), (0.5, 2.0, 6.0), (None, 3))
+        for N, L, k2, cap in grid:
+            case = (N, L, k2, cap)
+            s = generate(ModelSpec(kind=model, seed=3), N)
+            sel = select_bandwidth_bispectrum(s, k2=k2, L=L, cap=cap)
+            m_hat, cap_hit, base, trace = brute_force_bispectrum(s, k2=k2, L=L, cap=cap)
+            assert (sel.m_hat, sel.cap_hit) == (m_hat, cap_hit), case
+            assert sel.M_hat == math.floor(lex_point(m_hat)[0] / 0.51), case
+            assert sel.thresholds == {"k1": 2.0, "k2": k2, "base": base}, case
+            assert len(sel.trace) == len(trace), case
+            for got, want in zip(sel.trace, trace):
+                assert got == want, case
+            cap_hits += cap_hit
+        assert cap_hits
+
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    def test_k1_never_affects_a_selection(self):
+        # the scan starts at P_2, so the boundary point P_1 = (1, 0) is never
+        # examined
+        for model in ("iid-chisq1", "garch11", "bilinear"):
+            s = generate(ModelSpec(kind=model, seed=1), 200)
+            a = select_bandwidth_bispectrum(s, k1=1e-6, k2=1.0)
+            b = select_bandwidth_bispectrum(s, k1=1e6, k2=1.0)
+            assert (a.m_hat, a.trace) == (b.m_hat, b.trace)
+            assert (1, 0) not in [p for p, _ in a.trace]
 
 
 class TestBispectrumRule:
