@@ -25,6 +25,7 @@ from .evaluate import (
     PrincipalGrid,
     StudyReport,
     bandwidth_histogram_study,
+    build_reference_table,
     composite_grid,
     err_lambda,
     run_mse_study,
@@ -39,7 +40,6 @@ from .models import (
     MODEL_KINDS,
     ModelSpec,
     ReferenceTable,
-    build_reference_table,
     generate,
     reference_bispectrum,
     true_spectrum,

@@ -26,9 +26,9 @@ from .cumulants import TimeSeries, normalized_cumulant
 from .exceptions import DegenerateSeriesError
 from .spectra import (
     BispectrumLagCache,
-    _bispectrum_lags,
-    _curvature_at,
     _curvature_terms,
+    _frequency_sum,
+    _lag_terms,
     estimate_spectrum,
 )
 from .windows import (
@@ -408,8 +408,8 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     N = series.n
     cap = N / 4.0 if cap is None else cap
     spec_win, M2, bisp_win, M3 = pilots
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, bisp_win, M3)
-    curvature_terms = _curvature_terms(T1, T2, w, C)
+    lags, w, C, _ = _lag_terms(series, bisp_win, M3, 3)
+    curvature_terms = _curvature_terms(*lags, w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
@@ -421,7 +421,7 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
         product = f1 * f2 * f12
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")
-        curv = _curvature_at(T1, T2, curvature_terms, (w1, w2))
+        curv = _frequency_sum(lags, curvature_terms, (w1, w2))[0]
         M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
         selections.append(BandwidthSelection(
             M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",

@@ -23,16 +23,10 @@ import numpy as np
 
 from .bandwidth import select_bandwidth_bispectrum, select_bandwidth_general
 from .cumulants import TimeSeries
-from .evaluate import composite_grid, run_mse_study
+from .evaluate import build_reference_table, composite_grid, run_mse_study
 from .exceptions import DegenerateSeriesError, MissingReferenceError
-from .models import (
-    MODEL_KINDS,
-    ModelSpec,
-    ReferenceTable,
-    build_reference_table,
-    generate,
-)
-from .spectra import estimate_bispectrum, estimate_spectrum
+from .models import MODEL_KINDS, ModelSpec, ReferenceTable, generate
+from .spectra import BispectrumLagCache, estimate_bispectrum, estimate_spectrum
 from .windows import flat_top_rpf, parse_window, trapezoid_window
 
 EXIT_OK = 0
@@ -130,15 +124,14 @@ def cmd_estimate(args) -> int:
         if M <= 0:
             raise ValueError("bandwidth must be positive")
 
+    cache = BispectrumLagCache(series) if order == 3 else None
     rows = []
     for pt in points:
         if order == 2:
             est = estimate_spectrum(series, window, M, pt)
-            rows.append([est.omega[0], est.value.real
-                         if isinstance(est.value, complex) else est.value,
-                         0.0, M, window.name, series.n])
+            rows.append([est.omega[0], est.value, 0.0, M, window.name, series.n])
         else:
-            est = estimate_bispectrum(series, window, M, pt)
+            est = estimate_bispectrum(series, window, M, pt, cache=cache)
             rows.append([est.omega[0], est.omega[1], est.value.real,
                          est.value.imag, M, window.name, series.n])
 

@@ -1,5 +1,6 @@
 """Monte-Carlo evaluation harness: point criteria, the composite grid
-metric, MSE study tables, and bandwidth-procedure comparisons.
+metric, MSE study tables, bandwidth-procedure comparisons, and simulation
+reference tables for models without closed-form truth.
 
 The composite metric standardizes |fhat - f| at each grid point by a
 caller-supplied denominator (the product f(w1) f(w2) f(w1+w2) of true
@@ -22,11 +23,19 @@ from .bandwidth import (
     _plugin_selections,
     _second_order_pilots,
     select_bandwidth_bispectrum,
+    select_bandwidth_general,
 )
 from .exceptions import DegenerateSeriesError
-from .models import ModelSpec, generate, reference_bispectrum, true_spectrum
-from .spectra import BispectrumLagCache, estimate_bispectrum
-from .windows import LagWindow, optimal_window
+from .models import (
+    ModelSpec,
+    ReferenceTable,
+    _freq_key,
+    generate,
+    reference_bispectrum,
+    true_spectrum,
+)
+from .spectra import BispectrumLagCache, estimate_bispectrum, estimate_spectrum
+from .windows import LagWindow, flat_top_rpf, optimal_window, trapezoid_window
 
 __all__ = [
     "CRITERIA",
@@ -38,6 +47,7 @@ __all__ = [
     "run_mse_study",
     "bandwidth_histogram_study",
     "ProcedureResult",
+    "build_reference_table",
 ]
 
 CRITERIA = ("abs@origin", "re@(2,1)", "im@(2,1)", "abs@(2,1)", "T_composite")
@@ -317,3 +327,44 @@ def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
                     procedure=p, model=spec.kind, n=N,
                     bandwidths=chosen[p], M_true=target))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Simulation reference tables
+# ---------------------------------------------------------------------------
+
+def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
+                          L_sim: int = 20000, c: float = 0.51,
+                          replication_offset: int = 10 ** 6) -> ReferenceTable:
+    """Approximate the model's spectrum/bispectrum by averaging flat-top
+    estimates over R long realizations.
+
+    Replication ids start at a large offset so oracle draws never collide
+    with study replications under the same seed.  The bispectrum estimates
+    of one realization share one lag cache.
+    """
+    if R < 1 or L_sim < 16:
+        raise ValueError("need R >= 1 and a nontrivial simulation length")
+    spec_win = trapezoid_window(c)
+    bisp_win = flat_top_rpf(c)
+    f2_acc = {_freq_key(w): 0.0 for w in freqs2}
+    f3_acc = {(_freq_key(w[0]), _freq_key(w[1])): 0j for w in freqs3}
+    for rep in range(R):
+        series = generate(spec, L_sim, replication=replication_offset + rep)
+        if freqs2:
+            M2 = select_bandwidth_general(series, order=2, b=c).M_hat
+            for w in freqs2:
+                est = estimate_spectrum(series, spec_win, M2, w)
+                f2_acc[_freq_key(w)] += est.value
+        if freqs3:
+            M3 = max(select_bandwidth_bispectrum(series, b=c).M_hat, 1.0)
+            cache = BispectrumLagCache(series)
+            for w in freqs3:
+                est = estimate_bispectrum(series, bisp_win, M3, w, cache=cache)
+                f3_acc[(_freq_key(w[0]), _freq_key(w[1]))] += est.value
+    return ReferenceTable(
+        model=spec.kind,
+        meta={"R": R, "L_sim": L_sim, "seed": spec.seed},
+        spectrum={k: v / R for k, v in f2_acc.items()},
+        bispectrum={k: v / R for k, v in f3_acc.items()},
+    )

@@ -19,11 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import select_bandwidth_bispectrum, select_bandwidth_general
 from .cumulants import TimeSeries
 from .exceptions import MissingReferenceError
-from .spectra import estimate_bispectrum, estimate_spectrum
-from .windows import flat_top_rpf, trapezoid_window
 
 __all__ = [
     "ModelSpec",
@@ -32,7 +29,6 @@ __all__ = [
     "true_spectrum",
     "reference_bispectrum",
     "ReferenceTable",
-    "build_reference_table",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -232,39 +228,3 @@ class ReferenceTable:
                 key = (_freq_key(float(row[1])), _freq_key(float(row[2])))
                 table.bispectrum[key] = complex(float(row[3]), float(row[4]))
         return table
-
-
-def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
-                          L_sim: int = 20000, c: float = 0.51,
-                          replication_offset: int = 10 ** 6) -> ReferenceTable:
-    """Approximate the model's spectrum/bispectrum by averaging flat-top
-    estimates over R long realizations.
-
-    Replication ids start at a large offset so oracle draws never collide
-    with study replications under the same seed.
-    """
-    if R < 1 or L_sim < 16:
-        raise ValueError("need R >= 1 and a nontrivial simulation length")
-    spec_win = trapezoid_window(c)
-    bisp_win = flat_top_rpf(c)
-    f2_acc = {_freq_key(w): 0.0 for w in freqs2}
-    f3_acc = {(_freq_key(w[0]), _freq_key(w[1])): 0j for w in freqs3}
-    for rep in range(R):
-        series = generate(spec, L_sim, replication=replication_offset + rep)
-        if freqs2:
-            M2 = select_bandwidth_general(series, order=2, b=c).M_hat
-            for w in freqs2:
-                est = estimate_spectrum(series, spec_win, M2, w)
-                f2_acc[_freq_key(w)] += est.value
-        if freqs3:
-            M3 = max(select_bandwidth_bispectrum(series, b=c).M_hat, 1.0)
-            for w in freqs3:
-                est = estimate_bispectrum(series, bisp_win, M3, w)
-                f3_acc[(_freq_key(w[0]), _freq_key(w[1]))] += est.value
-    table = ReferenceTable(
-        model=spec.kind,
-        meta={"R": R, "L_sim": L_sim, "seed": spec.seed},
-        spectrum={k: v / R for k, v in f2_acc.items()},
-        bispectrum={k: v / R for k, v in f3_acc.items()},
-    )
-    return table

@@ -1,11 +1,12 @@
 """Smoothed lag-window estimates of the spectrum and bispectrum.
 
-Everything is direct summation over lags: the bandwidths in play are small,
-so the window's support box (`support_radius * M`, capped at N - 1) limits
-the work, and the estimates are exact sums.  A third-order sample cumulant
-is computed once per orbit of the six cumulant symmetries and kept in a dict
-keyed by the orbit's representative (`canonical_lag`); the selection rules
-ask for many lags at once and get them in one batched pass.
+Every estimate is one exact frequency sum over the lags of the window's plan
+at (M, N): the lags of its support box (`support_radius * M`, capped at
+N - 1) where it is nonzero, with the weights there, memoized on the window.
+A third-order sample cumulant is computed once per orbit of the six cumulant
+symmetries and kept in a dict keyed by the orbit's representative
+(`canonical_lag`); the selection rules ask for many lags at once and get
+them in one batched pass.
 """
 from __future__ import annotations
 
@@ -235,16 +236,6 @@ def autocumulants(series: TimeSeries, taus) -> np.ndarray:
     return out
 
 
-def _lag_cap(window: LagWindow, M: float, N: int) -> int:
-    if window.support_radius is None:
-        return N - 1
-    return min(int(math.ceil(window.support_radius * M)), N - 1)
-
-
-# weights depend only on (window, M, N), not on the data
-_WEIGHT_CACHE: dict = {}
-
-
 # lag points per block of tau1 rows in `_box_blocks`
 _LAG_BLOCK = 1 << 16
 
@@ -265,21 +256,24 @@ def _box_blocks(L: int, N: int, order: int):
         yield T1[inside], T2[inside]
 
 
-def _lag_weights(window: LagWindow, M: float, N: int):
-    """The lags in the support box [-L, L]^(s-1), L = `_lag_cap`, where the
+def _lag_plan(window: LagWindow, M: float, N: int):
+    """The plan of `window` at (M, N), memoized on the window: the lags of the
+    box [-L, L]^(s-1), L = min(ceil(support_radius * M), N - 1), where the
     window is nonzero and a sample cumulant of a length-N series can be, one
-    coordinate array per lag axis, followed by the weights there.
+    coordinate array per lag axis; the weights there; and L.
 
     A third-order sample cumulant at (t1, t2) sums N - max(|t1|, |t2|,
     |t1 - t2|) products, so at order 3 only lags with |t1 - t2| < N are kept;
     the window is evaluated on those alone.  The box is never held whole.
     """
-    key = (window.key(), float(M), int(N))
-    hit = _WEIGHT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    key = (float(M), int(N))
+    plan = window._memo.get(key)
+    if plan is not None:
+        return plan
+    R = window.support_radius
+    L = N - 1 if R is None else min(int(math.ceil(R * M)), N - 1)
     parts = [[] for _ in range(window.order)]
-    for lags in _box_blocks(_lag_cap(window, M, N), N, window.order):
+    for lags in _box_blocks(L, N, window.order):
         w = evaluate_blockwise(window.fn, *(t / M for t in lags))
         mask = w != 0.0
         for part, values in zip(parts, (*lags, w)):
@@ -290,11 +284,36 @@ def _lag_weights(window: LagWindow, M: float, N: int):
         # the result overlap by one array at most
         result.append(np.concatenate(part))
         part.clear()
-    result = tuple(result)
-    if len(_WEIGHT_CACHE) > 256:
-        _WEIGHT_CACHE.clear()
-    _WEIGHT_CACHE[key] = result
-    return result
+    plan = window._memo[key] = (tuple(result[:-1]), result[-1], L)
+    return plan
+
+
+def _lag_terms(series, window, M, order, cache=None):
+    """The lags of the plan of an order-`order` window at (M, N), the weights
+    and the sample cumulants there, and the lag cap: every factor of an
+    estimate that does not depend on the frequency."""
+    if M <= 0:
+        raise ValueError("bandwidth M must be positive")
+    if window.order != order:
+        raise ValueError(f"expected an order-{order} window, got {window.name}")
+    lags, w, L = _lag_plan(window, M, series.n)
+    if order == 2:
+        return lags, w, autocumulants(series, lags[0]), L
+    if not window.symmetric:
+        warnings.warn(f"window {window.name} does not satisfy the cumulant symmetries",
+                      stacklevel=3)
+    if cache is None:
+        cache = BispectrumLagCache(series)
+    return lags, w, cache.cumulants(*lags), L
+
+
+def _frequency_sum(lags, terms, omega):
+    """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1),
+    with each coordinate of omega reduced by `canonical_frequency`; returns
+    the sum and the reduced omega."""
+    omega = tuple(canonical_frequency(w) for w in omega)
+    arg = sum((T * w for T, w in zip(lags[1:], omega[1:])), lags[0] * omega[0])
+    return complex((terms * np.exp(-1j * arg)).sum() / _TWO_PI ** len(lags)), omega
 
 
 def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,
@@ -304,62 +323,25 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     Returns the real part; when truncation is enabled (default) a negative
     estimate is clamped to zero and flagged.
     """
-    if M <= 0:
-        raise ValueError("bandwidth M must be positive")
-    if window.order != 2:
-        raise ValueError(f"expected an order-2 window, got {window.name}")
-    N = series.n
-    L = _lag_cap(window, M, N)
-    taus, w = _lag_weights(window, M, N)
-    C = autocumulants(series, taus)
-    omega_c = canonical_frequency(omega)
-    val = complex((w * C * np.exp(-1j * taus * omega_c)).sum() / _TWO_PI)
-    value = val.real
-    flagged = False
-    if truncate and value < 0.0:
-        value = 0.0
-        flagged = True
+    lags, w, C, L = _lag_terms(series, window, M, 2)
+    val, omega_c = _frequency_sum(lags, w * C, (omega,))
+    flagged = bool(truncate) and val.real < 0.0
+    value = 0.0 if flagged else val.real
     return SpectralEstimate(
-        value=value, omega=(omega_c,), M=float(M), window=window.name,
-        order=2, n=N, truncated_negative=flagged, lag_cap=L,
-        n_lags=taus.size, imag_discarded=val.imag,
+        value=value, omega=omega_c, M=float(M), window=window.name,
+        order=2, n=series.n, truncated_negative=flagged, lag_cap=L,
+        n_lags=w.size, imag_discarded=val.imag,
     )
-
-
-def _bispectrum_lags(series, window, M, cache=None):
-    """The lags where the window is nonzero, the weights and the sample
-    cumulants there, the lag cap and N: every term of the order-3 sums that
-    does not depend on the frequency."""
-    if M <= 0:
-        raise ValueError("bandwidth M must be positive")
-    if window.order != 3:
-        raise ValueError(f"expected an order-3 window, got {window.name}")
-    if not window.symmetric:
-        warnings.warn(f"window {window.name} does not satisfy the cumulant symmetries",
-                      stacklevel=3)
-    if cache is None:
-        cache = BispectrumLagCache(series)
-    N = series.n
-    L = _lag_cap(window, M, N)
-    T1, T2, w = _lag_weights(window, M, N)
-    return T1, T2, w, cache.cumulants(T1, T2), L, N
-
-
-def _phase(T1, T2, omega):
-    w1 = canonical_frequency(omega[0])
-    w2 = canonical_frequency(omega[1])
-    return np.exp(-1j * (T1 * w1 + T2 * w2)), (w1, w2)
 
 
 def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
                         cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
-    T1, T2, w, C, L, N = _bispectrum_lags(series, window, M, cache)
-    phase, om = _phase(T1, T2, omega)
-    val = complex((w * C * phase).sum() / _TWO_PI ** 2)
+    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
+    val, omega_c = _frequency_sum(lags, w * C, omega)
     return SpectralEstimate(
-        value=val, omega=om, M=float(M), window=window.name,
-        order=3, n=N, lag_cap=L, n_lags=T1.size,
+        value=val, omega=omega_c, M=float(M), window=window.name,
+        order=3, n=series.n, lag_cap=L, n_lags=w.size,
     )
 
 
@@ -372,11 +354,8 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, cache)
-    phase, _ = _phase(T1, T2, omega)
-    Ti = T1 if i == 1 else T2
-    Tj = T1 if j == 1 else T2
-    return complex((-Ti * Tj * w * C * phase).sum() / _TWO_PI ** 2)
+    lags, w, C, _ = _lag_terms(series, window, M, 3, cache)
+    return _frequency_sum(lags, -lags[i - 1] * lags[j - 1] * w * C, omega)[0]
 
 
 def _curvature_terms(T1, T2, w, C):
@@ -384,13 +363,8 @@ def _curvature_terms(T1, T2, w, C):
     return -(T1 * T1 - T1 * T2 + T2 * T2) * w * C
 
 
-def _curvature_at(T1, T2, terms, omega) -> complex:
-    phase, _ = _phase(T1, T2, omega)
-    return complex((terms * phase).sum() / _TWO_PI ** 2)
-
-
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
                          cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    T1, T2, w, C, _, _ = _bispectrum_lags(series, window, M, cache)
-    return _curvature_at(T1, T2, _curvature_terms(T1, T2, w, C), omega)
+    lags, w, C, _ = _lag_terms(series, window, M, 3, cache)
+    return _frequency_sum(lags, _curvature_terms(*lags, w, C), omega)[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -300,6 +300,10 @@ class LagWindow:
     `support_radius` bounds the coordinates of the support box in scaled lag
     units (None means unbounded); it alone sets which lags an estimate sums.
     `qform_profile`, when set, gives lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
+
+    `_memo` holds what depends on the window alone: its lag plan at each
+    (M, N) an estimate asks for, its L2 norm and its curvature at 0.  It takes
+    no part in equality; `dataclasses.replace(window)` copies a window cold.
     """
 
     name: str
@@ -310,6 +314,7 @@ class LagWindow:
     params: dict = field(default_factory=dict)
     symmetric: bool = True
     qform_profile: object = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, *coords):
         out = self.fn(*coords)
@@ -317,14 +322,16 @@ class LagWindow:
             return float(out)
         return out
 
-    def key(self):
-        return (self.name, self.order, tuple(sorted(self.params.items())))
 
+# Each factory keeps one window per argument set, so that its memo serves
+# every caller.  A window's `fn` looks its kernel up in this module at each
+# call, so that it sees a kernel replaced here (as by a profiler's wrapper).
 
+@cache
 def flat_top_rpf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
-        name="rpf", order=3, fn=partial(lambda_rpf, c=c),
+        name="rpf", order=3, fn=lambda x, y: lambda_rpf(x, y, c),
         flat_top_radius=c, support_radius=1.0, params={"c": c},
     )
 
@@ -336,10 +343,11 @@ def _rcf_profile(r, c=0.51):
     return (base - c * inner) / (1.0 - c)
 
 
+@cache
 def flat_top_rcf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
-        name="rcf", order=3, fn=partial(lambda_rcf, c=c),
+        name="rcf", order=3, fn=lambda x, y: lambda_rcf(x, y, c),
         flat_top_radius=c, support_radius=2.0 / _SQRT3, params={"c": c},
         qform_profile=partial(_rcf_profile, c=c),
     )
@@ -360,17 +368,17 @@ def _opt_qform_profile_truncated(s, r):
     return np.where(s <= r, _opt_qform_profile(s), 0.0)
 
 
+@cache
 def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     """The order-2 Bessel window `lambda_opt`, of unbounded support.
 
     With `truncation_radius=r` it is 0 outside the ellipse x^2 - xy + y^2 <= r^2
-    (`opt_truncation_radius` picks r from a bound on the dropped tail), its
-    support box is the ellipse's bounding box, `support_radius` = 2/sqrt(3) * r,
-    and r is part of `key()`.
+    (`opt_truncation_radius` picks r from a bound on the dropped tail), and its
+    support box is the ellipse's bounding box: `support_radius` = 2/sqrt(3) * r.
     """
     if truncation_radius is None:
         return LagWindow(
-            name="opt", order=3, fn=lambda_opt,
+            name="opt", order=3, fn=lambda x, y: lambda_opt(x, y),
             flat_top_radius=0.0, support_radius=None,
             qform_profile=_opt_qform_profile,
         )
@@ -385,24 +393,27 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     )
 
 
+@cache
 def trapezoid_window(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
-        name="trapezoid", order=2, fn=partial(_trapezoid_fn, c=c),
+        name="trapezoid", order=2, fn=lambda t: _trapezoid_fn(t, c),
         flat_top_radius=c, support_radius=1.0, params={"c": c},
     )
 
 
+@cache
 def parzen_window() -> LagWindow:
     return LagWindow(
-        name="parzen", order=2, fn=_parzen_fn,
+        name="parzen", order=2, fn=lambda t: _parzen_fn(t),
         flat_top_radius=0.0, support_radius=1.0,
     )
 
 
+@cache
 def parzen_window_2d() -> LagWindow:
     return LagWindow(
-        name="parzen2d", order=3, fn=_parzen2d_fn,
+        name="parzen2d", order=3, fn=lambda x, y: _parzen2d_fn(x, y),
         flat_top_radius=0.0, support_radius=1.0,
     )
 
@@ -425,15 +436,6 @@ def _combine_gmean(vals):
 _COMBINERS = {"mean": _combine_mean, "gmean": _combine_gmean}
 
 
-def _lifted_params(window: LagWindow, combiner) -> dict:
-    """Params of a lifted window: its source's, plus the combiners applied so
-    far, innermost first, so that `key()` tells apart windows that differ
-    only in a combiner."""
-    params = dict(window.params)
-    params["combiners"] = params.get("combiners", ()) + (combiner,)
-    return params
-
-
 def symmetrize(window: LagWindow, combiner="mean") -> LagWindow:
     """Average a 2-D window over its six symmetry images.
 
@@ -453,7 +455,7 @@ def symmetrize(window: LagWindow, combiner="mean") -> LagWindow:
     return LagWindow(
         name=f"sym({window.name})", order=3, fn=fn,
         flat_top_radius=window.flat_top_radius, support_radius=support,
-        params=_lifted_params(window, combiner), symmetric=True,
+        params=dict(window.params), symmetric=True,
     )
 
 
@@ -481,7 +483,7 @@ def symmetrize_even_1d(window: LagWindow, combiner="gmean") -> LagWindow:
     return LagWindow(
         name=f"sym1d({window.name})", order=3, fn=fn,
         flat_top_radius=window.flat_top_radius, support_radius=support,
-        params=_lifted_params(window, combiner), symmetric=True,
+        params=dict(window.params), symmetric=True,
     )
 
 
@@ -553,8 +555,6 @@ def _simpson(y, dx):
     return dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
-_CONST_CACHE: dict = {}
-
 # integration extent for the non-compact optimal window: the tail of the
 # squared L2 integral beyond quadratic-form radius 60 is 2.5e-7 of it, so
 # window_l2_norm(optimal_window()) reads 1.2e-7 (relative) below the closed
@@ -566,8 +566,9 @@ _L2_GRID_ROWS = 16
 
 
 def window_l2_norm(window: LagWindow) -> float:
-    """L2 norm of the window over its lag space, computed numerically once."""
-    cached = _CONST_CACHE.get(("l2", window.key()))
+    """L2 norm of the window over its lag space, computed numerically once
+    per window and memoized on it."""
+    cached = window._memo.get("l2")
     if cached is not None:
         return cached
     if window.order == 2:
@@ -595,14 +596,14 @@ def window_l2_norm(window: LagWindow) -> float:
             sq = np.asarray(window.fn(X, Y), float) ** 2
             rows.extend(_simpson(row, dx) for row in sq)
         val = _simpson(np.array(rows), dx)
-    result = math.sqrt(val)
-    _CONST_CACHE[("l2", window.key())] = result
+    result = window._memo["l2"] = math.sqrt(val)
     return result
 
 
 def window_curvature_at_zero(window: LagWindow, h=1e-4) -> float:
-    """Second partial of the window along its first lag axis at the origin."""
-    cached = _CONST_CACHE.get(("d2", window.key(), h))
+    """Second partial of the window along its first lag axis at the origin,
+    memoized on the window for each step h."""
+    cached = window._memo.get(("d2", h))
     if cached is not None:
         return cached
     if window.order == 2:
@@ -610,7 +611,7 @@ def window_curvature_at_zero(window: LagWindow, h=1e-4) -> float:
     else:
         val = (float(window.fn(h, 0.0)) - 2.0 * float(window.fn(0.0, 0.0))
                + float(window.fn(-h, 0.0))) / h ** 2
-    _CONST_CACHE[("d2", window.key(), h)] = val
+    window._memo[("d2", h)] = val
     return val
 
 

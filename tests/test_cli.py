@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flattopspec import BispectrumLagCache
 from flattopspec.cli import main, parse_freq
 
 
@@ -125,6 +126,19 @@ class TestEstimate:
                      "--seed", "4", "--at", "2,1"])
         assert code == 0
         assert "rpf" in capsys.readouterr().out
+
+    def test_bispectrum_points_share_one_lag_cache(self, monkeypatch, capsys):
+        used = []
+        cumulants = BispectrumLagCache.cumulants
+
+        def spy(self, T1, T2):
+            used.append(self)
+            return cumulants(self, T1, T2)
+        monkeypatch.setattr(BispectrumLagCache, "cumulants", spy)
+        assert main(["estimate", "--model", "iid-chisq1", "--N", "300", "--order", "3",
+                     "--at", "0,0", "--at", "1,0.5", "--at", "2,1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(used) == 3 and all(c is used[0] for c in used)
 
     def test_requires_exactly_one_source(self, chisq_file, capsys):
         assert main(["estimate", "--at", "0,0"]) == 2

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from flattopspec import (
+    BispectrumLagCache,
     MissingReferenceError,
     ModelSpec,
     ReferenceTable,
     build_reference_table,
+    composite_grid,
     generate,
     reference_bispectrum,
     true_spectrum,
@@ -194,3 +196,21 @@ class TestBuildReferenceTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_reference_table(ModelSpec("garch11"), R=0)
+
+    def test_one_lag_cache_per_series(self, monkeypatch):
+        # the 8 bispectrum frequencies of grid n = 5 read the cumulants of a
+        # realization from one cache, not from one cache each
+        used = []
+        cumulants = BispectrumLagCache.cumulants
+
+        def spy(self, T1, T2):
+            used.append(self)
+            return cumulants(self, T1, T2)
+        monkeypatch.setattr(BispectrumLagCache, "cumulants", spy)
+        freqs3 = [(0.0, 0.0), (2.0, 1.0)] + list(composite_grid(5).points)
+        build_reference_table(ModelSpec("garch11", seed=1), freqs3=freqs3, R=2,
+                              L_sim=800)
+        assert len(freqs3) == 8 and len(used) == 16
+        assert all(c is used[0] for c in used[:8])
+        assert all(c is used[8] for c in used[8:])
+        assert used[0].series is not used[8].series

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,6 +23,8 @@ from flattopspec import (
     flat_top_rpf,
     generate,
     lambda_opt,
+    lambda_rc,
+    lambda_rp,
     optimal_window,
     parzen_window,
     symmetrize,
@@ -29,7 +32,7 @@ from flattopspec import (
     trapezoid_window,
     window_l2_norm,
 )
-from flattopspec import spectra, windows
+from flattopspec import spectra
 from flattopspec.spectra import canonical_lag
 from flattopspec.windows import SYMMETRY_MAPS, LagWindow, apply_symmetry
 
@@ -244,9 +247,15 @@ class TestLagCacheBatch:
         assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
+def lag_cap(window, M, N):
+    if window.support_radius is None:
+        return N - 1
+    return min(math.ceil(window.support_radius * M), N - 1)
+
+
 def meshgrid_lag_weights(window, M, N):
     """The order-3 lags and weights from the whole (2L+1)^2 box at once."""
-    L = spectra._lag_cap(window, M, N)
+    L = lag_cap(window, M, N)
     ax = np.arange(-L, L + 1)
     T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
     inside = np.abs(T1 - T2) < N
@@ -264,24 +273,26 @@ class TestLagWeightBlocks:
                                             (flat_top_rpf(0.51), 5.0, 121),
                                             (flat_top_rpf(0.51), 30.0, 40)])
     def test_match_meshgrid(self, monkeypatch, block, window, M, N):
-        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+        # a copy of the window has an empty memo, so its plan is built here
+        window = dataclasses.replace(window)
         monkeypatch.setattr(spectra, "_LAG_BLOCK", block)
-        got = spectra._lag_weights(window, M, N)
-        for a, b in zip(got, meshgrid_lag_weights(window, M, N)):
+        (T1, T2), w, L = spectra._lag_plan(window, M, N)
+        assert L == lag_cap(window, M, N)
+        for a, b in zip((T1, T2, w), meshgrid_lag_weights(window, M, N)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
-    def test_peak_memory_near_what_is_kept(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
-        spectra._lag_weights(optimal_window(), 1.0, 30)  # imports, constants
+    def test_peak_memory_near_what_is_kept(self):
+        window = dataclasses.replace(optimal_window())
+        spectra._lag_plan(window, 1.0, 30)  # imports, constants
         tracemalloc.start()
         try:
-            kept = spectra._lag_weights(optimal_window(), 1.0, 600)
+            (T1, T2), w, _ = spectra._lag_plan(window, 1.0, 600)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kept[0].size == 3 * 600 * 600 - 3 * 600 + 1
-        assert peak < 1.5 * sum(a.nbytes for a in kept)
+        assert T1.size == 3 * 600 * 600 - 3 * 600 + 1
+        assert peak < 1.5 * sum(a.nbytes for a in (T1, T2, w))
 
 
 class TestSpectrum:
@@ -543,11 +554,11 @@ SKEW_TENT = LagWindow(
 
 def estimate_with_cached_weights(series, w, M, omega):
     """Estimate, then check that the weights it used, read back from the
-    cache, are the window's own `fn` on its support box, where a sample
-    cumulant can be nonzero."""
+    window's plan, are the window's own `fn` on its support box, where a
+    sample cumulant can be nonzero."""
     est = estimate_bispectrum(series, w, M, omega)
-    L = est.lag_cap
-    T1, T2, weights = spectra._lag_weights(w, M, series.n)
+    (T1, T2), weights, L = spectra._lag_plan(w, M, series.n)
+    assert L == est.lag_cap
     ax = np.arange(-L, L + 1)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     direct = np.asarray(w.fn(X / M, Y / M), float)
@@ -560,17 +571,15 @@ def estimate_with_cached_weights(series, w, M, omega):
 
 class TestCombinerCacheKeys:
     """Windows that differ only in a parameter (a combiner, or the truncation
-    of `opt`) share no cached weights or constants, whichever of them is used
+    of `opt`) share no lag plans or constants, whichever of them is used
     first."""
 
     @pytest.mark.parametrize("lift,base", [(symmetrize_even_1d, trapezoid_window(0.51)),
                                            (symmetrize, SKEW_TENT)],
                              ids=["even_1d", "symmetrize"])
     @pytest.mark.parametrize("order", [("mean", "gmean"), ("gmean", "mean")])
-    def test_each_combiner_evaluates_its_own_fn(self, monkeypatch, series, lift,
-                                                base, order):
-        monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
-        monkeypatch.setattr(windows, "_CONST_CACHE", {})
+    def test_each_combiner_evaluates_its_own_fn(self, series, lift, base, order):
+        # each lift is a new window, with an empty memo
         M = 3.0
         norms = []
         for combiner in order:
@@ -588,16 +597,29 @@ class TestCombinerCacheKeys:
             assert abs(norms[0] - norms[1]) > 1e-2 * norms[0]
 
     @pytest.mark.parametrize("M", [1.0, 2.0])
-    def test_opt_truncation_evaluates_its_own_fn(self, monkeypatch, series, M):
+    def test_opt_truncation_evaluates_its_own_fn(self, series, M):
         omega = (0.5, 0.2)
         alone = {}
         for r in (None, 2.0):
-            monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
-            alone[r] = estimate_bispectrum(series, optimal_window(r), M, omega).value
+            cold = dataclasses.replace(optimal_window(r))
+            alone[r] = estimate_bispectrum(series, cold, M, omega).value
         assert alone[None] != alone[2.0]
         for order in [(None, 2.0), (2.0, None)]:
-            monkeypatch.setattr(spectra, "_WEIGHT_CACHE", {})
+            cold = {r: dataclasses.replace(optimal_window(r)) for r in order}
             for r in order:
-                est = estimate_with_cached_weights(series, optimal_window(r), M, omega)
+                est = estimate_with_cached_weights(series, cold[r], M, omega)
                 assert est.value == alone[r]
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_windows_alike_but_in_fn_keep_their_own(self, series, first):
+        # two custom windows with one name, order and params, whose kernels
+        # differ: each gets its own estimate and L2 norm, whichever is first
+        pair = [LagWindow(name="custom", order=3, fn=fn, support_radius=2 / math.sqrt(3))
+                for fn in (lambda_rp, lambda_rc)]
+        M, omega = 3.0, (0.7, -1.3)
+        for w in pair[first:] + pair[:first]:
+            est = estimate_bispectrum(series, w, M, omega)
+            assert est.value == pytest.approx(naive_bispectrum(series, w, M, omega),
+                                              abs=1e-12)
+            assert window_l2_norm(w) == pytest.approx(
+                direct_l2_norm(w, w.support_radius), rel=1e-5)

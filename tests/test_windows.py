@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -215,8 +216,8 @@ class TestOptimalWindow:
         r = 2.5
         w = optimal_window(truncation_radius=r)
         assert w.support_radius == 2.0 / math.sqrt(3.0) * r
-        assert w.key() != optimal_window().key()
-        assert w.key() == parse_window("opt:truncation_radius=2.5").key()
+        assert w != optimal_window()
+        assert w is parse_window("opt:truncation_radius=2.5")
         ax = np.linspace(-4.0, 4.0, 161)
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         q = X * X - X * Y + Y * Y
@@ -384,11 +385,11 @@ class TestNumericConstants:
 
     @pytest.mark.parametrize("window", [flat_top_rpf(0.51), parzen_window_2d()],
                              ids=["rpf", "parzen2d"])
-    def test_grid_l2_in_bounded_memory(self, monkeypatch, window):
+    def test_grid_l2_in_bounded_memory(self, window):
         # without a radial profile the norm is Simpson's rule on a 1601 x 1601
         # grid, row by row and then across the rows; evaluated a block of rows
         # at a time it keeps the bits of the whole-grid evaluation
-        monkeypatch.setattr(windows, "_CONST_CACHE", {})
+        window = dataclasses.replace(window)  # a copy with an empty memo
         tracemalloc.start()
         try:
             got = window_l2_norm(window)
@@ -425,6 +426,24 @@ class TestParseWindow:
     def test_malformed_params(self):
         with pytest.raises(ValueError):
             parse_window("rpf:c")
+
+    @pytest.mark.parametrize("spec", ["rpf:c=0.4", "rcf", "opt", "opt:truncation_radius=2.5",
+                                      "trapezoid:c=0.6", "parzen", "parzen2d"])
+    def test_one_window_per_spec(self, spec):
+        # a window memoizes its lag plans and constants, so that every caller
+        # asking for the same window shares them
+        assert parse_window(spec) is parse_window(spec)
+
+
+@pytest.mark.parametrize("factory,args", [
+    (flat_top_rpf, (0.4,)), (flat_top_rcf, (0.6,)), (optimal_window, ()),
+    (optimal_window, (2.5,)), (trapezoid_window, (0.4,)), (parzen_window, ()),
+    (parzen_window_2d, ())])
+def test_factory_returns_one_window_per_argument_set(factory, args):
+    w = factory(*args)
+    assert factory(*args) is w
+    window_l2_norm(w)
+    assert "l2" in factory(*args)._memo
 
 
 def test_apply_symmetry_matches_lambda_images():
