@@ -29,7 +29,6 @@ from .spectra import (
     _curvature_terms,
     _frequency_sum,
     _lag_terms,
-    estimate_spectrum,
 )
 from .windows import (
     LagWindow,
@@ -307,19 +306,21 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
                                  block_length)
     rhos = np.empty((len(lags), B))
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * N))
-    for i in range(0, B, rows):
-        chunk = starts[i:i + rows]
-        xb = blocks[chunk].reshape(len(chunk), -1)[:, :N]
-        y = xb - xb.mean(axis=1, keepdims=True)
-        var = (y * y).sum(axis=1) / N
-        if np.any(var <= 0.0):
-            raise DegenerateSeriesError("bootstrap replicate with zero variance")
-        for rho, taus in zip(rhos, lags):
-            n_terms = N - max(taus + (0,))
-            prod = y[:, :n_terms].copy()
-            for t in taus:
-                prod *= y[:, t:t + n_terms]
-            rho[i:i + rows] = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
+    # an overflow or underflow shows as a non-finite rho, checked below
+    with np.errstate(all="ignore"):
+        for i in range(0, B, rows):
+            chunk = starts[i:i + rows]
+            xb = blocks[chunk].reshape(len(chunk), -1)[:, :N]
+            y = xb - xb.mean(axis=1, keepdims=True)
+            var = (y * y).sum(axis=1) / N
+            if np.any(var <= 0.0):
+                raise DegenerateSeriesError("bootstrap replicate with zero variance")
+            for rho, taus in zip(rhos, lags):
+                n_terms = N - max(taus + (0,))
+                prod = y[:, :n_terms].copy()
+                for t in taus:
+                    prod *= y[:, t:t + n_terms]
+                rho[i:i + rows] = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
     if not np.isfinite(rhos).all():
         raise DegenerateSeriesError("bootstrap replicate with a non-finite rho")
     sigmas = [math.sqrt(N) * float(np.std(rho, ddof=1)) for rho in rhos]
@@ -404,21 +405,26 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
 
 def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     """`plugin_bandwidth` at the (w1, w2) pairs of `omegas`, given its pilot
-    windows and bandwidths (spectrum window, M2, bispectrum window, M3)."""
+    windows and bandwidths (spectrum window, M2, bispectrum window, M3).
+    The lag terms of both pilots are computed once for all the pairs."""
     N = series.n
     cap = N / 4.0 if cap is None else cap
     spec_win, M2, bisp_win, M3 = pilots
+    spec_lags, spec_w, spec_C, _ = _lag_terms(series, spec_win, M2, 2)
+    spec_terms = spec_w * spec_C
     lags, w, C, _ = _lag_terms(series, bisp_win, M3, 3)
     curvature_terms = _curvature_terms(*lags, w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
+    def spectrum(omega):
+        # as `estimate_spectrum`, a negative estimate is clamped to 0
+        value = _frequency_sum(spec_lags, spec_terms, (omega,))[0].real
+        return 0.0 if value < 0.0 else value
+
     selections = []
     for w1, w2 in np.asarray(omegas, float).tolist():
-        f1 = estimate_spectrum(series, spec_win, M2, w1).value
-        f2 = estimate_spectrum(series, spec_win, M2, w2).value
-        f12 = estimate_spectrum(series, spec_win, M2, w1 + w2).value
-        product = f1 * f2 * f12
+        product = spectrum(w1) * spectrum(w2) * spectrum(w1 + w2)
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")
         curv = _frequency_sum(lags, curvature_terms, (w1, w2))[0]

@@ -4,9 +4,10 @@ Every estimate is one exact frequency sum over the lags of the window's plan
 at (M, N): the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
 A third-order sample cumulant is computed once per orbit of the six cumulant
-symmetries and kept in a dict keyed by the orbit's representative
-(`canonical_lag`); the selection rules ask for many lags at once and get
-them in one batched pass.
+symmetries, by one kernel, into one store of orbit codes and values; the
+selection rules read it many lags at once, and the frequency sums through a
+dict keyed by the orbit's representative (`canonical_lag`), their per-lag
+index.
 """
 from __future__ import annotations
 
@@ -43,10 +44,15 @@ def canonical_frequency(w: float) -> float:
 
 def canonical_lag(t1: int, t2: int):
     """Representative of the orbit of a lag pair under the six third-order
-    cumulant symmetries: the largest of its images (x, y), (y, x),
-    (-x, y - x), (y - x, -x), (x - y, -y), (-y, x - y) in tuple order."""
-    return max((t1, t2), (t2, t1), (-t1, t2 - t1), (t2 - t1, -t1),
-               (t1 - t2, -t2), (-t2, t1 - t2))
+    cumulant symmetries: (max - min, mid - min) of {0, t1, t2}, the image
+    with t1 >= t2 >= 0 and the largest of the six in tuple order."""
+    if t1 < t2:
+        t1, t2 = t2, t1
+    if t2 >= 0:
+        return t1, t2
+    if t1 <= 0:
+        return -t2, t1 - t2
+    return t1 - t2, -t2
 
 
 # a lag pair (a, b) with |a|, |b| < _CODE_OFFSET is the int64
@@ -66,23 +72,24 @@ def _decode(codes):
     return (codes >> 32) - _CODE_OFFSET, (codes & 0xFFFFFFFF) - _CODE_OFFSET
 
 
-# lag pairs per block in `_orbit_codes`
+# lag pairs per block in `_orbit_codes` and `BispectrumLagCache.cumulants`
 _CODE_BLOCK = 4096
 
 
 def _orbit_codes(T1, T2) -> np.ndarray:
     """`canonical_lag` of each pair (T1[i], T2[i]) of the 1-D arrays, encoded
-    as an int64, for |lags| < 2^29 (every image coordinate is then within
-    `_CODE_OFFSET`); computed a block of lags at a time."""
+    as an int64, for |lags| < 2^29 (a representative's coordinates are then
+    below `_CODE_OFFSET`); computed a block of lags at a time."""
     codes = np.empty(len(T1), np.int64)
     for i in range(0, codes.size, _CODE_BLOCK):
         x = np.asarray(T1[i:i + _CODE_BLOCK], np.int64)
         y = np.asarray(T2[i:i + _CODE_BLOCK], np.int64)
-        d = y - x
-        block = codes[i:i + _CODE_BLOCK]
-        block[:] = _encode(x, y)
-        for a, b in ((y, x), (-x, d), (d, -x), (-d, -y), (-y, -d)):
-            np.maximum(block, _encode(a, b), out=block)
+        lo = np.minimum(np.minimum(x, y), 0)
+        hi = np.maximum(np.maximum(x, y), 0)
+        mid = x + y
+        mid -= lo
+        mid -= hi  # the middle of {0, x, y}
+        codes[i:i + _CODE_BLOCK] = _encode(hi - lo, mid - lo)
     return codes
 
 
@@ -117,13 +124,12 @@ class BispectrumLagCache:
     """Third-order sample cumulants of one series, one value per orbit of six
     lag pairs under the cumulant symmetries.
 
-    Two stores serve two access patterns.  `cumulants`, which the frequency
-    sums use, looks each lag up in a dict keyed by `canonical_lag`, computing
-    a missing orbit with `_compute`.  `cumulant_batch`, which both selection
-    rules use, canonicalizes a whole array of lags at once, keeps its orbits
-    in sorted arrays of integer codes and values, and computes new orbits by
-    runs of equal t1, gathering one factor per orbit.  Each store computes an
-    orbit at most once, with the bits of `_compute`.
+    One kernel, `_compute_orbits`, computes every value, each orbit once per
+    cache, into one store: sorted arrays of integer orbit codes and their
+    values.  `cumulant_batch`, which both selection rules use, looks a whole
+    array of lags up there.  `cumulants`, which the frequency sums use, reads
+    lag by lag through a dict keyed by `canonical_lag`, their per-lag index,
+    and fills it from `cumulant_batch`.
     """
 
     def __init__(self, series: TimeSeries):
@@ -140,39 +146,32 @@ class BispectrumLagCache:
             raise DegenerateSeriesError("series has zero variance")
         return math.sqrt((var * var) * var)
 
-    def _compute(self, t1: int, t2: int) -> float:
-        N = self.series.n
-        alpha = min(0, t1, t2)
-        gamma = max(0, t1, t2) - alpha
-        n_terms = N - gamma
-        if n_terms < 1:
-            return 0.0
-        y = self._y
-        p = (y[t1 - alpha:t1 - alpha + n_terms]
-             * y[t2 - alpha:t2 - alpha + n_terms]
-             * y[-alpha:-alpha + n_terms])
-        return float(p.sum() / N)
-
     def cumulants(self, T1, T2) -> np.ndarray:
         """The cumulant at each lag pair (T1[i], T2[i]), as a float array,
-        looked up lag by lag in the dict keyed by `canonical_lag`."""
-        # plain ints hash and compare faster than numpy scalars
-        T1 = np.asarray(T1).ravel().tolist()
-        T2 = np.asarray(T2).ravel().tolist()
+        looked up lag by lag in the dict keyed by `canonical_lag`, a block
+        of lags at a time; the orbits of a block missing from the dict come
+        from one `cumulant_batch` call."""
+        T1 = np.asarray(T1).ravel()
+        T2 = np.asarray(T2).ravel()
+        out = np.empty(T1.size)
         vals = self._vals
-        get, compute = vals.get, self._compute
-        out = []
-        append = out.append
-        for t1, t2 in zip(T1, T2):
-            key = canonical_lag(t1, t2)
-            val = get(key)
-            if val is None:
-                val = vals[key] = compute(*key)
-            append(val)
-        return np.array(out, float)
+        get = vals.__getitem__
+        for i in range(0, T1.size, _CODE_BLOCK):
+            # plain ints hash and compare faster than numpy scalars
+            t1 = T1[i:i + _CODE_BLOCK].tolist()
+            t2 = T2[i:i + _CODE_BLOCK].tolist()
+            try:  # a block whose orbits are all in the dict
+                out[i:i + _CODE_BLOCK] = list(map(get, map(canonical_lag, t1, t2)))
+            except KeyError:
+                keys = list(map(canonical_lag, t1, t2))
+                missing = list(set(keys).difference(vals))
+                new = self.cumulant_batch(*np.array(missing).T)
+                vals.update(zip(missing, new.tolist()))
+                out[i:i + _CODE_BLOCK] = list(map(get, keys))
+        return out
 
     def cumulant_batch(self, T1, T2) -> np.ndarray:
-        """`cumulants` at each lag pair (T1[i], T2[i]) in one batched pass:
+        """The cumulant at each lag pair (T1[i], T2[i]) in one batched pass:
         the distinct orbits are looked up in the sorted store, and those not
         seen by an earlier batch are computed once each, in runs of equal t1
         (`_compute_orbits`)."""
@@ -191,12 +190,12 @@ class BispectrumLagCache:
         return self._batch_vals[np.searchsorted(self._batch_codes, codes)][inverse]
 
     def _compute_orbits(self, codes) -> np.ndarray:
-        """`_compute` at the representative (t1, t2) of each code, for codes
-        in ascending order.  A representative has t1 >= t2 >= 0, or its image
-        (t2, t1) or (t1 - t2, -t2) would be larger, so it sums the n = N - t1
-        terms of (y[t1:] * y[t2:t2 + n]) * y[:n].  The orbits of one t1 are a
-        run of the codes and share y[t1:] and y[:n]; only their y[t2:t2 + n]
-        rows are gathered, a chunk at a time."""
+        """The sample cumulant at the representative (t1, t2) of each code,
+        for codes in ascending order: the sum over i of y[i] y[i + t1]
+        y[i + t2] / N.  A representative has t1 >= t2 >= 0, so it sums the
+        n = N - t1 terms of (y[t1:] * y[t2:t2 + n]) * y[:n].  The orbits of
+        one t1 are a run of the codes and share y[t1:] and y[:n]; only their
+        y[t2:t2 + n] rows are gathered, a chunk at a time."""
         y, N = self._y, self.series.n
         t1, t2 = _decode(codes)
         # row s of `windows` is y[s:s + N], zero past the end of the series

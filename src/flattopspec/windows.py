@@ -7,9 +7,10 @@ windows this holds on the sector 0 <= y <= x; see `validate_flat_top`).
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -323,11 +324,25 @@ class LagWindow:
         return out
 
 
-# Each factory keeps one window per argument set, so that its memo serves
-# every caller.  A window's `fn` looks its kernel up in this module at each
-# call, so that it sees a kernel replaced here (as by a profiler's wrapper).
+def _one_window_per_params(factory):
+    """`factory`, returning one window per parameter set, so that its memo
+    serves every caller: the arguments of a call, bound to the signature
+    with the defaults applied, are the key of a `functools.cache`."""
+    signature = inspect.signature(factory)
+    cached = cache(factory)
 
-@cache
+    @wraps(factory)
+    def shared(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+    return shared
+
+
+# A window's `fn` looks its kernel up in this module at each call, so that it
+# sees a kernel replaced here (as by a profiler's wrapper).
+
+@_one_window_per_params
 def flat_top_rpf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
@@ -343,7 +358,7 @@ def _rcf_profile(r, c=0.51):
     return (base - c * inner) / (1.0 - c)
 
 
-@cache
+@_one_window_per_params
 def flat_top_rcf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
@@ -368,7 +383,7 @@ def _opt_qform_profile_truncated(s, r):
     return np.where(s <= r, _opt_qform_profile(s), 0.0)
 
 
-@cache
+@_one_window_per_params
 def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     """The order-2 Bessel window `lambda_opt`, of unbounded support.
 
@@ -393,7 +408,7 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     )
 
 
-@cache
+@_one_window_per_params
 def trapezoid_window(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
@@ -402,7 +417,7 @@ def trapezoid_window(c: float = 0.51) -> LagWindow:
     )
 
 
-@cache
+@_one_window_per_params
 def parzen_window() -> LagWindow:
     return LagWindow(
         name="parzen", order=2, fn=lambda t: _parzen_fn(t),
@@ -410,7 +425,7 @@ def parzen_window() -> LagWindow:
     )
 
 
-@cache
+@_one_window_per_params
 def parzen_window_2d() -> LagWindow:
     return LagWindow(
         name="parzen2d", order=3, fn=lambda x, y: _parzen2d_fn(x, y),

@@ -15,16 +15,21 @@ from flattopspec import (
     ModelSpec,
     TimeSeries,
     bootstrap_threshold,
+    estimate_spectrum,
     generate,
     lex_point,
     normalized_cumulant,
     optimal_window,
+    parzen_window,
     plugin_bandwidth,
     plugin_formula,
     select_bandwidth_bispectrum,
     select_bandwidth_general,
+    trapezoid_window,
 )
-from flattopspec.spectra import BispectrumLagCache, canonical_lag
+from flattopspec import spectra
+from flattopspec.spectra import BispectrumLagCache
+from lag_oracles import DirectCumulant, six_image_lag
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,12 @@ def brute_force_general(series, order, k, a_N, norm, cap=None):
         cap = max(1, N // 4)
     memo: dict = {}
     if order == 3:
-        lag_cache = BispectrumLagCache(series)
-        denom = lag_cache.rho_denominator()
+        cumulant = DirectCumulant(series)
+        denom = BispectrumLagCache(series).rho_denominator()
 
     def rho(tau):
         if tau not in memo:
-            memo[tau] = (lag_cache._compute(*canonical_lag(*tau)) / denom
+            memo[tau] = (cumulant(*six_image_lag(*tau)) / denom
                          if order == 3 else normalized_cumulant(series, tau))
         return memo[tau]
 
@@ -361,13 +366,13 @@ def brute_force_bispectrum(series, k1=2.0, k2=2.0, L=5, cap=None):
     base = math.sqrt(math.log(N) / N)
     if cap is None:
         cap = max(1, N // 4)
-    cache = BispectrumLagCache(series)
-    denom = cache.rho_denominator()
+    cumulant = DirectCumulant(series)
+    denom = BispectrumLagCache(series).rho_denominator()
     rho_cache: dict = {}
 
     def rho(n):
         if n not in rho_cache:
-            rho_cache[n] = cache._compute(*canonical_lag(*lex_point(n))) / denom
+            rho_cache[n] = cumulant(*six_image_lag(*lex_point(n))) / denom
         return rho_cache[n]
 
     trace = []
@@ -540,11 +545,12 @@ class TestBootstrap:
                              ids=["3,0", "6,3", "list"])
     def test_nonfinite_rho_is_degenerate(self, scale, tau0):
         # rho's numerator or var^(3/2) overflows or underflows, so replicates
-        # read nan, and a nan k would block nothing
+        # read nan, and a nan k would block nothing; no numpy warning escapes
         s = generate(ModelSpec(kind="garch11", seed=0), 400)
-        with np.errstate(all="ignore"), pytest.raises(DegenerateSeriesError,
-                                                      match="non-finite"):
-            bootstrap_threshold(TimeSeries(s.values * scale), tau0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSeriesError, match="non-finite"):
+                bootstrap_threshold(TimeSeries(s.values * scale), tau0, seed=0)
 
 
 @st.composite
@@ -678,3 +684,21 @@ class TestPluginBandwidth:
             assert sel.rule == alone.rule == f"plugin-{pilot}"
             assert sel.params == alone.params
             assert sel.params["omega"] == omega
+
+    @pytest.mark.parametrize("pilot", ["flat-top", "second-order"])
+    def test_pilot_spectrum_lag_terms_computed_once(self, pilot, monkeypatch):
+        series = generate(ModelSpec(kind="arma11", seed=4), 400)
+        omegas = [(0.0, 0.0), (2.0, 1.0), (-0.4, 2.9)]
+        calls = []
+        autocumulants = spectra.autocumulants
+        monkeypatch.setattr(spectra, "autocumulants",
+                            lambda *args: calls.append(args) or autocumulants(*args))
+        sels = plugin_bandwidth(optimal_window(), series, omegas, pilot=pilot,
+                                calibrate=False)
+        assert len(calls) == 1
+        # the pilot spectra are `estimate_spectrum`'s, bit for bit
+        spec_win = trapezoid_window() if pilot == "flat-top" else parzen_window()
+        for (w1, w2), sel in zip(omegas, sels):
+            f = [estimate_spectrum(series, spec_win, sel.params["pilot_spectrum_M"], w).value
+                 for w in (w1, w2, w1 + w2)]
+            assert sel.params["f_product"] == f[0] * f[1] * f[2]

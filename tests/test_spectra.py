@@ -35,6 +35,7 @@ from flattopspec import (
 from flattopspec import spectra
 from flattopspec.spectra import canonical_lag
 from flattopspec.windows import SYMMETRY_MAPS, LagWindow, apply_symmetry
+from lag_oracles import DirectCumulant, six_image_lag
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +104,11 @@ class TestCanonicalization:
             assert rep in orbit
             assert {canonical_lag(*img) for img in orbit} == {rep}
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.integers(-(2 ** 29) + 1, 2 ** 29 - 1), st.integers(-(2 ** 29) + 1, 2 ** 29 - 1))
+    def test_closed_form_is_the_largest_of_six_images(self, t1, t2):
+        assert canonical_lag(t1, t2) == six_image_lag(t1, t2)
+
 
 class TestLagCacheLookup:
     @pytest.mark.parametrize("as_input", [lambda a: a.astype(np.int64),
@@ -111,8 +117,8 @@ class TestLagCacheLookup:
                              ids=["int64", "int32", "list"])
     def test_cumulants_match_scalar_lookups(self, series, as_input):
         T1, T2 = np.random.default_rng(4).integers(-12, 13, size=(2, 400))
-        want = [BispectrumLagCache(series)._compute(*canonical_lag(a, b))
-                for a, b in zip(T1.tolist(), T2.tolist())]
+        oracle = DirectCumulant(series)
+        want = [oracle(*six_image_lag(a, b)) for a, b in zip(T1.tolist(), T2.tolist())]
         got = BispectrumLagCache(series).cumulants(as_input(T1), as_input(T2))
         assert got.dtype == np.float64
         assert got.tolist() == want
@@ -121,6 +127,42 @@ class TestLagCacheLookup:
         got = BispectrumLagCache(series).cumulants(np.array([], int), [])
         assert got.dtype == np.float64
         assert got.shape == (0,)
+
+    @pytest.mark.parametrize("first", ["cumulants", "cumulant_batch"])
+    def test_each_orbit_computed_once_whichever_path_asks(self, series, monkeypatch,
+                                                          first):
+        # blocks of 100 lags, so that most orbits have images in several
+        computed = []
+        cache = BispectrumLagCache(series)
+        compute = cache._compute_orbits
+        monkeypatch.setattr(cache, "_compute_orbits",
+                            lambda codes: computed.extend(codes.tolist()) or compute(codes))
+        monkeypatch.setattr(spectra, "_CODE_BLOCK", 100)
+        ax = np.arange(-45, 46)
+        T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        cold = getattr(cache, first)(T1, T2)
+        orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
+        assert sorted(decoded(np.array(computed))) == sorted(orbits)
+        computed.clear()
+        assert cache.cumulants(T1[::-1], T2[::-1]).tolist() == cold[::-1].tolist()
+        assert cache.cumulant_batch(T1, T2).tolist() == cold.tolist()
+        assert computed == []
+
+    def test_cold_untruncated_opt_estimate_peak(self):
+        # the lookup holds one block of lags at a time: a cold estimate over
+        # the 3N^2 - 3N + 1 = 42,841 lags of untruncated opt at N = 120 peaks
+        # below the 3.43 MB of a lookup that held whole-call lists
+        s = TimeSeries(np.random.default_rng(0).standard_normal(120) ** 2)
+        window = optimal_window()
+        estimate_bispectrum(s, window, 5.0, (0.3, 0.2))  # the plan, kept on the window
+        tracemalloc.start()
+        try:
+            est = estimate_bispectrum(s, window, 5.0, (0.3, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_lags == 42_841
+        assert peak <= 3.43e6
 
 
 def decoded(codes):
@@ -131,7 +173,7 @@ class TestOrbitCodes:
     def test_match_canonical_lag_on_a_box(self):
         ax = np.arange(-150, 151)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        want = [canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
+        want = [six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
         assert decoded(spectra._orbit_codes(T1, T2)) == want
 
     def test_match_canonical_lag_up_to_n_minus_one(self):
@@ -140,7 +182,7 @@ class TestOrbitCodes:
         edge = np.array([-(N - 1), -(N - 2), -1, 0, 1, N - 2, N - 1])
         E1, E2 = (T.ravel() for T in np.meshgrid(edge, edge, indexing="ij"))
         T1, T2 = np.concatenate([T1, E1]), np.concatenate([T2, E2])
-        want = [canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
+        want = [six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
         assert decoded(spectra._orbit_codes(T1, T2)) == want
 
     def test_representatives_have_t1_at_least_t2_at_least_zero(self):
@@ -158,7 +200,7 @@ class TestOrbitCodes:
         T1, T2 = np.array(lags, np.int64).T
         t1, t2 = spectra._decode(spectra._orbit_codes(T1, T2))
         assert np.all(t1 >= t2) and np.all(t2 >= 0)
-        assert list(zip(t1.tolist(), t2.tolist())) == [canonical_lag(*lag) for lag in lags]
+        assert list(zip(t1.tolist(), t2.tolist())) == [six_image_lag(*lag) for lag in lags]
 
     def test_order_as_the_lag_tuples(self):
         lags = [(-5, 3), (-5, 4), (-4, -9), (0, 0), (2, -7), (2, 1), (7, 7)]
@@ -189,14 +231,13 @@ class TestLagCacheBatch:
     def test_matches_compute_bit_for_bit(self, case):
         series, first, second = case
         cache = BispectrumLagCache(series)
-        oracle = BispectrumLagCache(series)
+        oracle = DirectCumulant(series)
         for batch in (first, second):
             T1 = np.array([t for t, _ in batch], np.int64)
             T2 = np.array([t for _, t in batch], np.int64)
             got = cache.cumulant_batch(T1, T2)
             assert got.dtype == np.float64 and got.shape == (len(batch),)
-            assert got.tolist() == [oracle._compute(*canonical_lag(a, b))
-                                    for a, b in batch]
+            assert got.tolist() == [oracle(*six_image_lag(a, b)) for a, b in batch]
 
     def test_each_orbit_computed_once(self, series, monkeypatch):
         computed = []
@@ -208,7 +249,7 @@ class TestLagCacheBatch:
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         for half in (slice(0, 300), slice(300, None), slice(None)):
             cache.cumulant_batch(T1[half], T2[half])
-        orbits = {canonical_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
+        orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
         assert sorted(decoded(np.array(computed))) == sorted(orbits)
 
     def test_empty_input(self, series):
@@ -221,9 +262,10 @@ class TestLagCacheBatch:
         ax = np.arange(-N - 1, N + 2)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         for values in (np.arange(1.0, N + 1) ** 2, np.full(N, 2.5)):
-            cache = BispectrumLagCache(TimeSeries(values))
-            got = cache.cumulant_batch(T1, T2)
-            assert got.tolist() == [cache._compute(*canonical_lag(a, b))
+            series = TimeSeries(values)
+            got = BispectrumLagCache(series).cumulant_batch(T1, T2)
+            oracle = DirectCumulant(series)
+            assert got.tolist() == [oracle(*six_image_lag(a, b))
                                     for a, b in zip(T1.tolist(), T2.tolist())]
 
     @pytest.mark.parametrize("chunk_bytes", [8, 800, 4000])
@@ -236,9 +278,9 @@ class TestLagCacheBatch:
         s = TimeSeries(np.random.default_rng(7).standard_normal(120) ** 2)
         ax = np.arange(-125, 126)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        cache = BispectrumLagCache(s)
-        got = cache.cumulant_batch(T1, T2)
-        assert got.tolist() == [cache._compute(*canonical_lag(a, b))
+        got = BispectrumLagCache(s).cumulant_batch(T1, T2)
+        oracle = DirectCumulant(s)
+        assert got.tolist() == [oracle(*six_image_lag(a, b))
                                 for a, b in zip(T1.tolist(), T2.tolist())]
 
     def test_orbits_without_summands_are_zero(self):
@@ -381,10 +423,10 @@ class TestBispectrum:
         assert a.value == b.value
 
     def test_cache_matches_direct_cumulants(self, series):
-        cache = BispectrumLagCache(series)
-        for t1, t2 in [(0, 0), (3, 1), (-2, 4), (5, 5), (-1, -6)]:
-            assert cache._compute(*canonical_lag(t1, t2)) == pytest.approx(
-                central_moment_estimate(series, (t1, t2)), abs=1e-13)
+        lags = [(0, 0), (3, 1), (-2, 4), (5, 5), (-1, -6)]
+        got = BispectrumLagCache(series).cumulants(*np.array(lags).T)
+        for (t1, t2), c in zip(lags, got.tolist()):
+            assert c == pytest.approx(central_moment_estimate(series, (t1, t2)), abs=1e-13)
 
     def test_warns_for_asymmetric_window(self, series):
         skew = LagWindow(name="skew", order=3,

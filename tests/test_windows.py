@@ -446,6 +446,18 @@ def test_factory_returns_one_window_per_argument_set(factory, args):
     assert "l2" in factory(*args)._memo
 
 
+def test_factory_returns_one_window_per_parameter_set():
+    # positional, keyword and default forms of one parameter set, and the
+    # keyword form `parse_window` uses, share one window and so one memo
+    w = flat_top_rpf()
+    assert flat_top_rpf(0.51) is w
+    assert flat_top_rpf(c=0.51) is w
+    assert parse_window("rpf:c=0.51") is w
+    assert trapezoid_window(c=0.51) is trapezoid_window()
+    assert optimal_window(truncation_radius=None) is optimal_window()
+    assert flat_top_rcf(c=0.6) is flat_top_rcf(0.6) is not flat_top_rcf()
+
+
 def test_apply_symmetry_matches_lambda_images():
     rng = np.random.default_rng(10)
     for x, y in rng.uniform(-3, 3, size=(20, 2)):

@@ -4,11 +4,11 @@
 
 Run from the root of a source checkout: the package comes from `src/` and the
 ops from `bench/workloads.py`, at op seeds `op_seed(0, i)` as `bench/run.py`
-makes them (`select` 0-59, `study-sweep` 0-2, `study-opt` 0-7).  Each line is
-`<workload> <op index> <digest>`.  A digest covers the whole output, the
-private keys too: a series as the bytes of its values, and a dataclass (a
-`BandwidthSelection`) as its fields.  Equal digests on two commits mean
-bit-identical outputs.
+makes them (`select` 0-59, `study-sweep` 0-2, `study-opt` 0-7, `oracle` 0-1).
+Each line is `<workload> <op index> <digest>`.  A digest covers the whole
+output, the private keys too: a series as the bytes of its values, and a
+dataclass (a `BandwidthSelection`) as its fields.  Equal digests on two
+commits mean bit-identical outputs.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np  # noqa: E402
 import flattopspec  # noqa: E402
 import workloads  # noqa: E402
 
-OPS = {"select": 60, "study-sweep": 3, "study-opt": 8}
+OPS = {"select": 60, "study-sweep": 3, "study-opt": 8, "oracle": 2}
 
 
 def encode(obj):
