@@ -141,7 +141,7 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     each annulus is a contiguous run of them, and the witness of a blocked
     annulus is its first lag with |rho| >= threshold.  Each time the list
     grows, rho at its new lags comes from `normalized_cumulant` at order 2
-    and from one `BispectrumLagCache.cumulant_batch` pass at order 3.
+    and from one `BispectrumLagCache.cumulants` lookup at order 3.
     """
     if k <= 0 or a_N < 1 or not 0 < b <= 1:
         raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
@@ -170,7 +170,7 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
             lags, keys = _lags_by_norm(R, dim, norm)
             new = lags[old:]
             if dim == 2:
-                new_rho = lag_cache.cumulant_batch(new[:, 0], new[:, 1])
+                new_rho = lag_cache.cumulants(new[:, 0], new[:, 1])
                 new_rho /= denom
             else:
                 new_rho = np.array([normalized_cumulant(series, (t,))
@@ -216,7 +216,8 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     so b = c = 0.51 yields only odd integers and b = 0.5 only even ones.
     The scan starts at P_2, so P_1 = (1,0) is never examined for m >= 1 and
     k1 never affects a selection.  Rho at each growth of the point list comes
-    from one `cumulant_batch` pass; the trace lists every (point, rho) seen.
+    from one `BispectrumLagCache.cumulants` lookup; the trace lists every
+    (point, rho) seen.
     """
     if k1 <= 0 or k2 <= 0 or L < 1 or not 0 < b <= 1:
         raise ValueError("need k1, k2 > 0, L >= 1, b in (0, 1]")
@@ -237,7 +238,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
                 size + 1, min(max(2 * size, m + L), cap + L) + 1)]
             size += len(new)
             T1, T2 = np.array(new).T
-            new_rho = cache.cumulant_batch(T1, T2)
+            new_rho = cache.cumulants(T1, T2)
             new_rho /= denom
             new_thr = np.array([(k1 if p == (1, 0) else k2) * base for p in new])
         return m, m + L, new_rho, new_thr

@@ -165,7 +165,9 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
     `bandwidths` is "auto" (bispectrum selection rule; bootstrap thresholds
     when `calibrate`) or a number / list of numbers for a fixed sweep.
     `truth_override` (callable omega -> complex) replaces the reference
-    bispectrum, mainly for self-tests.
+    bispectrum, mainly for self-tests.  With "auto", `meta["cap_hits"]` lists
+    per (model, window, N) how many replications' selections stopped at the
+    rule's search cap.
     """
     if R < 1:
         raise ValueError("need at least one replication")
@@ -196,12 +198,14 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                 for bw in bw_list:
                     losses = {name: np.zeros(R) for name in CRITERIA}
                     origin_abs = np.zeros(R)
+                    at_cap = 0
                     for rep in range(R):
                         series = generate(spec, N, replication=rep)
                         if bw == "auto":
                             ks = (_bootstrap_ks(series, [_A_LAGS], 2 * rep)[0]
                                   if calibrate else ())
-                            M = _selection_rule_bandwidth(series, c, *ks)
+                            M, cap_hit = _selection_rule_bandwidth(series, c, *ks)
+                            at_cap += cap_hit
                         else:
                             M = float(bw)
                         cache = BispectrumLagCache(series)
@@ -216,6 +220,10 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                         losses["im@(2,1)"][rep] = abs(e_21.imag - f_21.imag)
                         losses["abs@(2,1)"][rep] = abs(abs(e_21) - abs(f_21))
                         losses["T_composite"][rep] = err_lambda(e_grid, f_grid, denom)
+                    if bw == "auto":
+                        report.meta.setdefault("cap_hits", []).append(
+                            {"model": spec.kind, "window": window.name, "N": N,
+                             "at_cap": at_cap})
                     bw_label = "auto" if bw == "auto" else f"M={float(bw):g}"
                     for name in CRITERIA:
                         report.cells.append(CriterionResult(
@@ -262,9 +270,10 @@ _A_LAGS = ((3, 0), (6, 3))  # the lags of procedure (a)'s calibrated k1 and k2
 
 
 def _selection_rule_bandwidth(series, c, k1=2.0, k2=2.0):
-    """Procedure (a): the bispectrum selection rule."""
+    """Procedure (a): the bispectrum selection rule's bandwidth, and whether
+    the rule stopped at its cap."""
     sel = select_bandwidth_bispectrum(series, k1=k1, k2=k2, b=c)
-    return max(sel.M_hat, 1.0)
+    return max(sel.M_hat, 1.0), sel.cap_hit
 
 
 # the plug-in procedures by pilot: procedure -> frequency
@@ -282,7 +291,7 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
     ks = dict(zip(pairs, _bootstrap_ks(series, pairs, rep_seed)))
     chosen = {}
     if "a" in procedures:
-        chosen["a"] = _selection_rule_bandwidth(series, c, *ks.get(_A_LAGS, ()))
+        chosen["a"] = _selection_rule_bandwidth(series, c, *ks.get(_A_LAGS, ()))[0]
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:

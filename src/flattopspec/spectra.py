@@ -4,10 +4,9 @@ Every estimate is one exact frequency sum over the lags of the window's plan
 at (M, N): the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
 A third-order sample cumulant is computed once per orbit of the six cumulant
-symmetries, by one kernel, into one store of orbit codes and values; the
-selection rules read it many lags at once, and the frequency sums through a
-dict keyed by the orbit's representative (`canonical_lag`), their per-lag
-index.
+symmetries, by one kernel, into one sorted store of orbit codes and values;
+the frequency sums, the plug-in pilots and both selection rules read it
+through one lookup, many lags at once.
 """
 from __future__ import annotations
 
@@ -72,7 +71,7 @@ def _decode(codes):
     return (codes >> 32) - _CODE_OFFSET, (codes & 0xFFFFFFFF) - _CODE_OFFSET
 
 
-# lag pairs per block in `_orbit_codes` and `BispectrumLagCache.cumulants`
+# lag pairs per block in `_orbit_codes`
 _CODE_BLOCK = 4096
 
 
@@ -126,18 +125,14 @@ class BispectrumLagCache:
 
     One kernel, `_compute_orbits`, computes every value, each orbit once per
     cache, into one store: sorted arrays of integer orbit codes and their
-    values.  `cumulant_batch`, which both selection rules use, looks a whole
-    array of lags up there.  `cumulants`, which the frequency sums use, reads
-    lag by lag through a dict keyed by `canonical_lag`, their per-lag index,
-    and fills it from `cumulant_batch`.
+    values.  `cumulants`, the one lookup, reads a whole array of lags there.
     """
 
     def __init__(self, series: TimeSeries):
         self.series = series
         self._y = series.centered()
-        self._vals: dict = {}
-        self._batch_codes = np.empty(0, np.int64)
-        self._batch_vals = np.empty(0)
+        self._codes = np.empty(0, np.int64)
+        self._values = np.empty(0)
 
     def rho_denominator(self) -> float:
         """C(0)^(3/2), the scale of the normalized third-order cumulant."""
@@ -147,36 +142,13 @@ class BispectrumLagCache:
         return math.sqrt((var * var) * var)
 
     def cumulants(self, T1, T2) -> np.ndarray:
-        """The cumulant at each lag pair (T1[i], T2[i]), as a float array,
-        looked up lag by lag in the dict keyed by `canonical_lag`, a block
-        of lags at a time; the orbits of a block missing from the dict come
-        from one `cumulant_batch` call."""
-        T1 = np.asarray(T1).ravel()
-        T2 = np.asarray(T2).ravel()
-        out = np.empty(T1.size)
-        vals = self._vals
-        get = vals.__getitem__
-        for i in range(0, T1.size, _CODE_BLOCK):
-            # plain ints hash and compare faster than numpy scalars
-            t1 = T1[i:i + _CODE_BLOCK].tolist()
-            t2 = T2[i:i + _CODE_BLOCK].tolist()
-            try:  # a block whose orbits are all in the dict
-                out[i:i + _CODE_BLOCK] = list(map(get, map(canonical_lag, t1, t2)))
-            except KeyError:
-                keys = list(map(canonical_lag, t1, t2))
-                missing = list(set(keys).difference(vals))
-                new = self.cumulant_batch(*np.array(missing).T)
-                vals.update(zip(missing, new.tolist()))
-                out[i:i + _CODE_BLOCK] = list(map(get, keys))
-        return out
-
-    def cumulant_batch(self, T1, T2) -> np.ndarray:
-        """The cumulant at each lag pair (T1[i], T2[i]) in one batched pass:
-        the distinct orbits are looked up in the sorted store, and those not
-        seen by an earlier batch are computed once each, in runs of equal t1
-        (`_compute_orbits`)."""
+        """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
+        a float array, in one batched pass: the distinct orbits are looked up
+        in the sorted store, and those not seen by an earlier call are
+        computed once each, in runs of equal t1 (`_compute_orbits`), and
+        inserted in one step."""
         codes, inverse = np.unique(_orbit_codes(T1, T2), return_inverse=True)
-        known = self._batch_codes
+        known = self._codes
         pos = np.searchsorted(known, codes)
         new = codes
         if known.size:
@@ -185,9 +157,9 @@ class BispectrumLagCache:
         if new.size:
             # both sorted and disjoint: inserting keeps the codes sorted
             vals = self._compute_orbits(new)
-            self._batch_vals = np.insert(self._batch_vals, pos, vals)
-            self._batch_codes = np.insert(known, pos, new)
-        return self._batch_vals[np.searchsorted(self._batch_codes, codes)][inverse]
+            self._values = np.insert(self._values, pos, vals)
+            self._codes = np.insert(known, pos, new)
+        return self._values[np.searchsorted(self._codes, codes)][inverse]
 
     def _compute_orbits(self, codes) -> np.ndarray:
         """The sample cumulant at the representative (t1, t2) of each code,
@@ -290,7 +262,9 @@ def _lag_plan(window: LagWindow, M: float, N: int):
 def _lag_terms(series, window, M, order, cache=None):
     """The lags of the plan of an order-`order` window at (M, N), the weights
     and the sample cumulants there, and the lag cap: every factor of an
-    estimate that does not depend on the frequency."""
+    estimate that does not depend on the frequency.  At order 3 the
+    cumulants come from one `cache.cumulants` lookup over all the plan's
+    lags (a fresh cache when none is passed)."""
     if M <= 0:
         raise ValueError("bandwidth M must be positive")
     if window.order != order:

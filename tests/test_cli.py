@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flattopspec import BispectrumLagCache
+from flattopspec import BispectrumLagCache, evaluate, spectra
+from flattopspec.bandwidth import BandwidthSelection
 from flattopspec.cli import main, parse_freq
 
 
@@ -128,17 +129,19 @@ class TestEstimate:
         assert "rpf" in capsys.readouterr().out
 
     def test_bispectrum_points_share_one_lag_cache(self, monkeypatch, capsys):
+        # the caches the frequency sums read; the selection rule has its own
         used = []
-        cumulants = BispectrumLagCache.cumulants
+        lag_terms = spectra._lag_terms
 
-        def spy(self, T1, T2):
-            used.append(self)
-            return cumulants(self, T1, T2)
-        monkeypatch.setattr(BispectrumLagCache, "cumulants", spy)
+        def spy(series, window, M, order, cache=None):
+            used.append(cache)
+            return lag_terms(series, window, M, order, cache)
+        monkeypatch.setattr(spectra, "_lag_terms", spy)
         assert main(["estimate", "--model", "iid-chisq1", "--N", "300", "--order", "3",
                      "--at", "0,0", "--at", "1,0.5", "--at", "2,1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert len(used) == 3 and all(c is used[0] for c in used)
+        assert len(used) == 3 and isinstance(used[0], BispectrumLagCache)
+        assert all(c is used[0] for c in used)
 
     def test_requires_exactly_one_source(self, chisq_file, capsys):
         assert main(["estimate", "--at", "0,0"]) == 2
@@ -161,6 +164,30 @@ class TestStudy:
         assert out1.read_bytes() == out2.read_bytes()
         sidecar = json.loads((tmp_path / "s1.csv.json").read_text())
         assert sidecar["cells"]
+        assert "cap_hits" not in sidecar["meta"]  # no selection at a fixed M
+
+    def test_sidecar_counts_selections_at_the_cap(self, tmp_path, monkeypatch):
+        # a stubbed rule that stops at its cap on replications 0 and 2 of 3,
+        # once per window; the table itself keeps its columns
+        calls = []
+
+        def capped(series, k1=2.0, k2=2.0, b=0.51):
+            calls.append(series)
+            return BandwidthSelection(M_hat=3.0, m_hat=1, rule="bispectrum",
+                                      thresholds={}, cap_hit=len(calls) % 3 != 2)
+        monkeypatch.setattr(evaluate, "select_bandwidth_bispectrum", capped)
+        out = tmp_path / "s.csv"
+        assert main(["study", "--models", "iid-chisq1,arma11",
+                     "--windows", "rpf:c=0.51,rcf:c=0.51", "--N", "60",
+                     "--R", "3", "--bandwidth", "auto", "--grid-n", "3",
+                     "--seed", "1", "--output", str(out)]) == 0
+        assert len(calls) == 12
+        meta = json.loads((tmp_path / "s.csv.json").read_text())["meta"]
+        assert meta["cap_hits"] == [
+            {"model": m, "window": w, "N": 60, "at_cap": 2}
+            for m in ("iid-chisq1", "arma11") for w in ("rpf", "rcf")]
+        assert out.read_text().splitlines()[0] == \
+            "model,window,N,bandwidth,criterion,R,mse,mean_estimate"
 
     def test_unknown_window_exit_2(self, tmp_path):
         assert main(["study", "--windows", "nope", "--R", "1",

@@ -13,6 +13,7 @@ from flattopspec import (
     composite_grid,
     generate,
     reference_bispectrum,
+    spectra,
     true_spectrum,
 )
 
@@ -199,18 +200,20 @@ class TestBuildReferenceTable:
 
     def test_one_lag_cache_per_series(self, monkeypatch):
         # the 8 bispectrum frequencies of grid n = 5 read the cumulants of a
-        # realization from one cache, not from one cache each
+        # realization from one cache, not from one cache each (the caches the
+        # frequency sums read; the selection rule has its own)
         used = []
-        cumulants = BispectrumLagCache.cumulants
+        lag_terms = spectra._lag_terms
 
-        def spy(self, T1, T2):
-            used.append(self)
-            return cumulants(self, T1, T2)
-        monkeypatch.setattr(BispectrumLagCache, "cumulants", spy)
+        def spy(series, window, M, order, cache=None):
+            used.append(cache)
+            return lag_terms(series, window, M, order, cache)
+        monkeypatch.setattr(spectra, "_lag_terms", spy)
         freqs3 = [(0.0, 0.0), (2.0, 1.0)] + list(composite_grid(5).points)
         build_reference_table(ModelSpec("garch11", seed=1), freqs3=freqs3, R=2,
                               L_sim=800)
         assert len(freqs3) == 8 and len(used) == 16
+        assert all(isinstance(c, BispectrumLagCache) for c in used)
         assert all(c is used[0] for c in used[:8])
         assert all(c is used[8] for c in used[8:])
         assert used[0].series is not used[8].series

@@ -128,10 +128,10 @@ class TestLagCacheLookup:
         assert got.dtype == np.float64
         assert got.shape == (0,)
 
-    @pytest.mark.parametrize("first", ["cumulants", "cumulant_batch"])
-    def test_each_orbit_computed_once_whichever_path_asks(self, series, monkeypatch,
-                                                          first):
-        # blocks of 100 lags, so that most orbits have images in several
+    def test_each_orbit_computed_once_across_overlapping_calls(self, series,
+                                                                 monkeypatch):
+        # blocks of 100 codes, so that most orbits have images in several;
+        # the second call overlaps the first, and the third is all warm
         computed = []
         cache = BispectrumLagCache(series)
         compute = cache._compute_orbits
@@ -140,18 +140,37 @@ class TestLagCacheLookup:
         monkeypatch.setattr(spectra, "_CODE_BLOCK", 100)
         ax = np.arange(-45, 46)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        cold = getattr(cache, first)(T1, T2)
+        half = T1.size // 2
+        first = cache.cumulants(T1[:half], T2[:half])
+        cold = cache.cumulants(T1, T2)
+        assert cold[:half].tolist() == first.tolist()
         orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
         assert sorted(decoded(np.array(computed))) == sorted(orbits)
         computed.clear()
         assert cache.cumulants(T1[::-1], T2[::-1]).tolist() == cold[::-1].tolist()
-        assert cache.cumulant_batch(T1, T2).tolist() == cold.tolist()
         assert computed == []
 
+    def test_cold_untruncated_opt_computes_orbits_in_one_call(self, monkeypatch):
+        # the 3N^2 - 3N + 1 = 269,101 lags of untruncated opt at N = 300 span
+        # 66 code blocks; their missing orbits are computed and inserted once
+        s = TimeSeries(np.random.default_rng(0).standard_normal(300) ** 2)
+        (T1, T2), _, _ = spectra._lag_plan(optimal_window(), 5.0, s.n)
+        assert T1.size == 269_101
+        calls = []
+        cache = BispectrumLagCache(s)
+        compute = cache._compute_orbits
+        monkeypatch.setattr(cache, "_compute_orbits",
+                            lambda codes: calls.append(codes.size) or compute(codes))
+        cold = cache.cumulants(T1, T2)
+        assert len(calls) == 1
+        assert cache.cumulants(T1, T2).tolist() == cold.tolist()
+        assert len(calls) == 1
+
     def test_cold_untruncated_opt_estimate_peak(self):
-        # the lookup holds one block of lags at a time: a cold estimate over
-        # the 3N^2 - 3N + 1 = 42,841 lags of untruncated opt at N = 120 peaks
-        # below the 3.43 MB of a lookup that held whole-call lists
+        # the lookup holds a call's orbit codes as int64 arrays: a cold
+        # estimate over the 3N^2 - 3N + 1 = 42,841 lags of untruncated opt at
+        # N = 120 peaks below the 3.43 MB of a lookup that held whole-call
+        # lists of key tuples
         s = TimeSeries(np.random.default_rng(0).standard_normal(120) ** 2)
         window = optimal_window()
         estimate_bispectrum(s, window, 5.0, (0.3, 0.2))  # the plan, kept on the window
@@ -235,7 +254,7 @@ class TestLagCacheBatch:
         for batch in (first, second):
             T1 = np.array([t for t, _ in batch], np.int64)
             T2 = np.array([t for _, t in batch], np.int64)
-            got = cache.cumulant_batch(T1, T2)
+            got = cache.cumulants(T1, T2)
             assert got.dtype == np.float64 and got.shape == (len(batch),)
             assert got.tolist() == [oracle(*six_image_lag(a, b)) for a, b in batch]
 
@@ -248,12 +267,12 @@ class TestLagCacheBatch:
         ax = np.arange(-12, 13)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         for half in (slice(0, 300), slice(300, None), slice(None)):
-            cache.cumulant_batch(T1[half], T2[half])
+            cache.cumulants(T1[half], T2[half])
         orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
         assert sorted(decoded(np.array(computed))) == sorted(orbits)
 
     def test_empty_input(self, series):
-        got = BispectrumLagCache(series).cumulant_batch(np.array([], int), np.array([], int))
+        got = BispectrumLagCache(series).cumulants(np.array([], int), np.array([], int))
         assert got.dtype == np.float64
         assert got.shape == (0,)
 
@@ -263,7 +282,7 @@ class TestLagCacheBatch:
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         for values in (np.arange(1.0, N + 1) ** 2, np.full(N, 2.5)):
             series = TimeSeries(values)
-            got = BispectrumLagCache(series).cumulant_batch(T1, T2)
+            got = BispectrumLagCache(series).cumulants(T1, T2)
             oracle = DirectCumulant(series)
             assert got.tolist() == [oracle(*six_image_lag(a, b))
                                     for a, b in zip(T1.tolist(), T2.tolist())]
@@ -278,13 +297,13 @@ class TestLagCacheBatch:
         s = TimeSeries(np.random.default_rng(7).standard_normal(120) ** 2)
         ax = np.arange(-125, 126)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        got = BispectrumLagCache(s).cumulant_batch(T1, T2)
+        got = BispectrumLagCache(s).cumulants(T1, T2)
         oracle = DirectCumulant(s)
         assert got.tolist() == [oracle(*six_image_lag(a, b))
                                 for a, b in zip(T1.tolist(), T2.tolist())]
 
     def test_orbits_without_summands_are_zero(self):
-        got = BispectrumLagCache(TimeSeries(np.arange(5.0))).cumulant_batch(
+        got = BispectrumLagCache(TimeSeries(np.arange(5.0))).cumulants(
             np.array([5, 0, -3, 9]), np.array([0, -5, 2, 9]))
         assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
 
