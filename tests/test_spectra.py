@@ -128,10 +128,13 @@ class TestLagCacheLookup:
         assert got.dtype == np.float64
         assert got.shape == (0,)
 
-    def test_each_orbit_computed_once_across_overlapping_calls(self, series,
-                                                                 monkeypatch):
+    @pytest.mark.parametrize("first", ["cumulants", "cumulant_batches"])
+    def test_each_orbit_computed_once_whichever_path_asks(self, series, monkeypatch,
+                                                          first):
         # blocks of 100 codes, so that most orbits have images in several;
-        # the second call overlaps the first, and the third is all warm
+        # the cold lags are asked for in one call ("cumulants") or in a half
+        # and then an overlapping whole ("cumulant_batches"); the last call
+        # is all warm
         computed = []
         cache = BispectrumLagCache(series)
         compute = cache._compute_orbits
@@ -141,9 +144,11 @@ class TestLagCacheLookup:
         ax = np.arange(-45, 46)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         half = T1.size // 2
-        first = cache.cumulants(T1[:half], T2[:half])
+        if first == "cumulant_batches":
+            part = cache.cumulants(T1[:half], T2[:half])
         cold = cache.cumulants(T1, T2)
-        assert cold[:half].tolist() == first.tolist()
+        if first == "cumulant_batches":
+            assert cold[:half].tolist() == part.tolist()
         orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
         assert sorted(decoded(np.array(computed))) == sorted(orbits)
         computed.clear()
