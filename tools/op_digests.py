@@ -12,13 +12,27 @@ dataclass (a `BandwidthSelection`) as its fields.  The `estimate` lines
 digest the exit code and stdout of `flattopspec estimate` at orders 2 and 3,
 with a fixed and an automatic bandwidth, and once with untruncated `opt`.
 Equal digests on two commits mean bit-identical outputs.
+
+    python3 tools/op_digests.py --dump outputs.json
+    python3 tools/op_digests.py --against outputs.json --rel 1e-12
+
+`--dump` also writes every op's output to a JSON file, as the list of its
+scalars in the order the digest visits them: a float (each part of a
+complex, each token of `estimate` output that parses as one) as a float,
+anything else as its repr.  `--against` compares each op with such a file
+and prints `<workload> <op index> <largest relative difference>` instead of
+the digest; it exits 1 if any difference is above `--rel` or any non-float
+scalar differs.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
+import json
+import math
 import sys
 import tempfile
 import warnings
@@ -67,23 +81,100 @@ def encode(obj):
     return repr(obj)
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as workdir:
-        for name, n_ops in OPS.items():
-            workload = workloads.WORKLOADS[name]
-            for i in range(n_ops):
-                inp = workload.make(workloads.op_seed(0, i), i)
-                out = workload.collect(inp, workload.call(inp, workdir), workdir)
-                digest = hashlib.sha256(repr(encode(out)).encode()).hexdigest()
-                print(f"{name} {i} {digest}", flush=True)
+def leaves(obj, path=""):
+    """(path, scalar) for each scalar of `obj`, in the order `encode` visits
+    them: floats and the parts of complex numbers as floats, anything else as
+    its repr."""
+    if isinstance(obj, flattopspec.TimeSeries):
+        obj = obj.values
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, dict):
+        for k in sorted(obj, key=repr):
+            yield from leaves(obj[k], f"{path}[{k!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from leaves(v, f"{path}[{i}]")
+    elif isinstance(obj, (float, np.floating)):
+        yield path, float(obj)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        yield f"{path}.real", float(obj.real)
+        yield f"{path}.imag", float(obj.imag)
+    else:
+        yield path, repr(obj)
+
+
+def _token(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def ops(workdir):
+    """(label, output, digested text) of every op, in the order printed."""
+    for name, n_ops in OPS.items():
+        workload = workloads.WORKLOADS[name]
+        for i in range(n_ops):
+            inp = workload.make(workloads.op_seed(0, i), i)
+            out = workload.collect(inp, workload.call(inp, workdir), workdir)
+            yield f"{name} {i}", out, repr(encode(out))
     for i, args in enumerate(ESTIMATES):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a selection at its cap warns
             code = cli.main(["estimate", *args])
-        digest = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode()).hexdigest()
-        print(f"estimate {i} {digest}", flush=True)
-    return 0
+        text = stdout.getvalue()
+        rows = [[_token(t) for t in line.split(",")] for line in text.splitlines()]
+        yield f"estimate {i}", [code, rows], f"{code}\n{text}"
+
+
+def relative_difference(found, reference):
+    """The largest |a - b| / max(|a|, |b|) over the float scalars of two
+    leaf lists, or None if their paths or other scalars differ."""
+    if [p for p, _ in found] != [p for p, _ in reference]:
+        return None
+    worst = 0.0
+    for (_, a), (_, b) in zip(found, reference):
+        if isinstance(a, float) and isinstance(b, float):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                scale = max(abs(a), abs(b))
+                worst = max(worst, abs(a - b) / scale if scale else math.inf)
+        elif a != b:
+            return None
+    return worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", help="also write every op's output to this JSON file")
+    parser.add_argument("--against", help="compare with the outputs of a --dump file")
+    parser.add_argument("--rel", type=float, default=0.0,
+                        help="largest relative difference --against accepts")
+    args = parser.parse_args(argv)
+    reference = None
+    if args.against:
+        with open(args.against) as fh:
+            reference = json.load(fh)
+    dump, ok = {}, True
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, out, text in ops(workdir):
+            found = [list(leaf) for leaf in leaves(out)]
+            if args.dump:
+                dump[label] = found
+            if reference is None:
+                print(f"{label} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+                continue
+            rel = relative_difference(found, reference.get(label, []))
+            ok &= rel is not None and rel <= args.rel
+            print(f"{label} {'differs' if rel is None else repr(rel)}", flush=True)
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            json.dump(dump, fh)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
