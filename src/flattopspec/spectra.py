@@ -4,9 +4,9 @@ Every estimate is one exact frequency sum over the lags of the window's plan
 at (M, N): the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
 A third-order sample cumulant is computed once per orbit of the six cumulant
-symmetries, by one kernel, into one sorted store of orbit codes and values;
-the frequency sums, the plug-in pilots and both selection rules read it
-through one lookup, many lags at once.
+symmetries, by one kernel, into one store, a packed lower triangle indexed by
+the orbit's representative; the frequency sums, the plug-in pilots and both
+selection rules read it through one lookup, many lags at once.
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# lag points per block: of tau1 rows in `_box_blocks`, of lags in
+# `_orbit_index`
+_LAG_BLOCK = 1 << 16
+
 
 def canonical_frequency(w: float) -> float:
     """Reduce a frequency to [-pi, pi); keeps integer-lag sums exactly periodic."""
@@ -54,42 +58,38 @@ def canonical_lag(t1: int, t2: int):
     return t1 - t2, -t2
 
 
-# a lag pair (a, b) with |a|, |b| < _CODE_OFFSET is the int64
-# (a + offset) * 2^32 + (b + offset), so codes order as the tuples do
-_CODE_OFFSET = 1 << 30
-
-
-def _encode(a, b):
-    code = a + _CODE_OFFSET
-    code <<= 32
-    code += b
-    code += _CODE_OFFSET
-    return code
-
-
-def _decode(codes):
-    return (codes >> 32) - _CODE_OFFSET, (codes & 0xFFFFFFFF) - _CODE_OFFSET
-
-
-# lag pairs per block in `_orbit_codes`
-_CODE_BLOCK = 4096
-
-
-def _orbit_codes(T1, T2) -> np.ndarray:
-    """`canonical_lag` of each pair (T1[i], T2[i]) of the 1-D arrays, encoded
-    as an int64, for |lags| < 2^29 (a representative's coordinates are then
-    below `_CODE_OFFSET`); computed a block of lags at a time."""
-    codes = np.empty(len(T1), np.int64)
-    for i in range(0, codes.size, _CODE_BLOCK):
-        x = np.asarray(T1[i:i + _CODE_BLOCK], np.int64)
-        y = np.asarray(T2[i:i + _CODE_BLOCK], np.int64)
+def _orbit_index(T1, T2, N: int) -> np.ndarray:
+    """The packed index a(a + 1)/2 + b of the representative (a, b) =
+    `canonical_lag` of each pair (T1[i], T2[i]) of the 1-D arrays, or -1
+    where a >= N, for |lags| < 2^30; computed a block of lags at a time."""
+    index = np.empty(len(T1), np.int64)
+    for i in range(0, index.size, _LAG_BLOCK):
+        x = np.asarray(T1[i:i + _LAG_BLOCK], np.int64)
+        y = np.asarray(T2[i:i + _LAG_BLOCK], np.int64)
         lo = np.minimum(np.minimum(x, y), 0)
         hi = np.maximum(np.maximum(x, y), 0)
-        mid = x + y
-        mid -= lo
-        mid -= hi  # the middle of {0, x, y}
-        codes[i:i + _CODE_BLOCK] = _encode(hi - lo, mid - lo)
-    return codes
+        b = x + y
+        b -= hi
+        b -= lo
+        b -= lo  # the middle of {0, x, y}, less the smallest
+        a = hi - lo
+        k = a + 1
+        k *= a
+        k >>= 1
+        k += b
+        k[a >= N] = -1
+        index[i:i + _LAG_BLOCK] = k
+    return index
+
+
+def _orbit_lags(index):
+    """The representative (a, b) at each packed index: the inverse of
+    `_orbit_index` where a < N."""
+    a = ((np.sqrt(8.0 * index + 1.0) - 1.0) // 2.0).astype(np.int64)
+    # the float root may be one off for large indices
+    a -= a * (a + 1) // 2 > index
+    a += (a + 1) * (a + 2) // 2 <= index
+    return a, index - a * (a + 1) // 2
 
 
 # bytes of the y_b rows, the one factor gathered, in a chunk of
@@ -124,15 +124,17 @@ class BispectrumLagCache:
     lag pairs under the cumulant symmetries.
 
     One kernel, `_compute_orbits`, computes every value, each orbit once per
-    cache, into one store: sorted arrays of integer orbit codes and their
-    values.  `cumulants`, the one lookup, reads a whole array of lags there.
+    cache, into one store: a packed lower triangle of float64 with the orbit
+    of representative (a, b), a >= b >= 0, at a(a + 1)/2 + b, grown by rows
+    and NaN where not yet computed, then one trailing 0.0, the cumulant of
+    every orbit with a >= N.  `cumulants`, the one lookup, reads a whole
+    array of lags there.
     """
 
     def __init__(self, series: TimeSeries):
         self.series = series
         self._y = series.centered()
-        self._codes = np.empty(0, np.int64)
-        self._values = np.empty(0)
+        self._table = np.zeros(1)
 
     def rho_denominator(self) -> float:
         """C(0)^(3/2), the scale of the normalized third-order cumulant."""
@@ -143,41 +145,43 @@ class BispectrumLagCache:
 
     def cumulants(self, T1, T2) -> np.ndarray:
         """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
-        a float array, in one batched pass: the distinct orbits are looked up
-        in the sorted store, and those not seen by an earlier call are
-        computed once each, in runs of equal t1 (`_compute_orbits`), and
-        inserted in one step."""
-        codes, inverse = np.unique(_orbit_codes(T1, T2), return_inverse=True)
-        known = self._codes
-        pos = np.searchsorted(known, codes)
-        new = codes
-        if known.size:
-            fresh = known[pos.clip(max=known.size - 1)] != codes
-            pos, new = pos[fresh], codes[fresh]
-        if new.size:
-            # both sorted and disjoint: inserting keeps the codes sorted
-            vals = self._compute_orbits(new)
-            self._values = np.insert(self._values, pos, vals)
-            self._codes = np.insert(known, pos, new)
-        return self._values[np.searchsorted(self._codes, codes)][inverse]
+        a float array, in one batched pass: the table grows by rows up to the
+        largest a < N asked for, and one gather reads every value, index -1
+        (a >= N) the trailing 0.0.  The orbits read as NaN, not yet computed,
+        are found with a scatter mask over the table, so in (a, b) order,
+        computed in one `_compute_orbits` call and gathered again."""
+        index = _orbit_index(T1, T2, self.series.n)
+        table = self._table
+        size = int(index.max(initial=-1)) + 1
+        if size >= table.size:
+            rows = int(_orbit_lags(np.array([size - 1]))[0][0]) + 1
+            grown = np.full(rows * (rows + 1) // 2 + 1, np.nan)
+            grown[:table.size - 1] = table[:-1]
+            grown[-1] = 0.0
+            self._table = table = grown
+        values = table[index]
+        missing = np.isnan(values)
+        if missing.any():
+            asked = np.zeros(table.size, bool)
+            asked[index[missing]] = True
+            new = np.flatnonzero(asked)
+            table[new] = self._compute_orbits(*_orbit_lags(new))
+            table.take(index, out=values)
+        return values
 
-    def _compute_orbits(self, codes) -> np.ndarray:
-        """The sample cumulant at the representative (t1, t2) of each code,
-        for codes in ascending order: the sum over i of y[i] y[i + t1]
-        y[i + t2] / N.  A representative has t1 >= t2 >= 0, so it sums the
-        n = N - t1 terms of (y[t1:] * y[t2:t2 + n]) * y[:n].  The orbits of
-        one t1 are a run of the codes and share y[t1:] and y[:n]; only their
-        y[t2:t2 + n] rows are gathered, a chunk at a time."""
+    def _compute_orbits(self, t1, t2) -> np.ndarray:
+        """The sample cumulant at each representative (t1[i], t2[i]), given in
+        (t1, t2) order with N > t1 >= t2 >= 0: the sum over i of y[i] y[i +
+        t1] y[i + t2] / N, that is the n = N - t1 terms of (y[t1:] * y[t2:t2 +
+        n]) * y[:n].  The orbits of one t1 are a run and share y[t1:] and
+        y[:n]; only their y[t2:t2 + n] rows are gathered, a chunk at a time."""
         y, N = self._y, self.series.n
-        t1, t2 = _decode(codes)
         # row s of `windows` is y[s:s + N], zero past the end of the series
         windows = sliding_window_view(np.concatenate([y, np.zeros(N - 1)]), N)
-        sums = np.zeros(codes.size)
+        sums = np.empty(t1.size)
         edges = (np.flatnonzero(np.diff(t1)) + 1).tolist()
-        for lo, hi in zip([0, *edges], [*edges, codes.size]):
+        for lo, hi in zip([0, *edges], [*edges, t1.size]):
             n = N - int(t1[lo])
-            if n < 1:
-                break  # so do the orbits after it
             rows = windows[:, :n]
             step = max(1, _ROW_CHUNK_BYTES // (8 * n))
             for i in range(lo, hi, step):
@@ -206,9 +210,6 @@ def autocumulants(series: TimeSeries, taus) -> np.ndarray:
                         y[-alpha:-alpha + n_terms]) / N
     return out
 
-
-# lag points per block of tau1 rows in `_box_blocks`
-_LAG_BLOCK = 1 << 16
 
 
 def _box_blocks(L: int, N: int, order: int):

@@ -131,16 +131,14 @@ class TestLagCacheLookup:
     @pytest.mark.parametrize("first", ["cumulants", "cumulant_batches"])
     def test_each_orbit_computed_once_whichever_path_asks(self, series, monkeypatch,
                                                           first):
-        # blocks of 100 codes, so that most orbits have images in several;
+        # blocks of 100 lags, so that most orbits have images in several;
         # the cold lags are asked for in one call ("cumulants") or in a half
         # and then an overlapping whole ("cumulant_batches"); the last call
-        # is all warm
-        computed = []
+        # is all warm.  Lags up to 45 on a series of N = 40: each orbit with
+        # a < N is computed once, and none with a >= N
         cache = BispectrumLagCache(series)
-        compute = cache._compute_orbits
-        monkeypatch.setattr(cache, "_compute_orbits",
-                            lambda codes: computed.extend(codes.tolist()) or compute(codes))
-        monkeypatch.setattr(spectra, "_CODE_BLOCK", 100)
+        computed = spy_on_orbits(cache, monkeypatch)
+        monkeypatch.setattr(spectra, "_LAG_BLOCK", 100)
         ax = np.arange(-45, 46)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         half = T1.size // 2
@@ -149,33 +147,34 @@ class TestLagCacheLookup:
         cold = cache.cumulants(T1, T2)
         if first == "cumulant_batches":
             assert cold[:half].tolist() == part.tolist()
-        orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
-        assert sorted(decoded(np.array(computed))) == sorted(orbits)
+        assert sorted(computed) == orbits_below(T1, T2, series.n)
         computed.clear()
         assert cache.cumulants(T1[::-1], T2[::-1]).tolist() == cold[::-1].tolist()
         assert computed == []
 
     def test_cold_untruncated_opt_computes_orbits_in_one_call(self, monkeypatch):
         # the 3N^2 - 3N + 1 = 269,101 lags of untruncated opt at N = 300 span
-        # 66 code blocks; their missing orbits are computed and inserted once
+        # 5 lag blocks; their N(N + 1)/2 orbits are computed in one call
         s = TimeSeries(np.random.default_rng(0).standard_normal(300) ** 2)
         (T1, T2), _, _ = spectra._lag_plan(optimal_window(), 5.0, s.n)
         assert T1.size == 269_101
-        calls = []
         cache = BispectrumLagCache(s)
+        computed = spy_on_orbits(cache, monkeypatch)
+        calls = []
         compute = cache._compute_orbits
         monkeypatch.setattr(cache, "_compute_orbits",
-                            lambda codes: calls.append(codes.size) or compute(codes))
+                            lambda t1, t2: calls.append(t1.size) or compute(t1, t2))
         cold = cache.cumulants(T1, T2)
-        assert len(calls) == 1
+        assert calls == [300 * 301 // 2]
+        assert sorted(computed) == orbits_below(T1, T2, s.n)
         assert cache.cumulants(T1, T2).tolist() == cold.tolist()
         assert len(calls) == 1
 
     def test_cold_untruncated_opt_estimate_peak(self):
-        # the lookup holds a call's orbit codes as int64 arrays: a cold
-        # estimate over the 3N^2 - 3N + 1 = 42,841 lags of untruncated opt at
-        # N = 120 peaks below the 3.43 MB of a lookup that held whole-call
-        # lists of key tuples
+        # the lookup holds a call's packed orbit indices as int64 arrays: a
+        # cold estimate over the 3N^2 - 3N + 1 = 42,841 lags of untruncated
+        # opt at N = 120 peaks below the 3.43 MB of a lookup that held
+        # whole-call lists of key tuples
         s = TimeSeries(np.random.default_rng(0).standard_normal(120) ** 2)
         window = optimal_window()
         estimate_bispectrum(s, window, 5.0, (0.3, 0.2))  # the plan, kept on the window
@@ -189,16 +188,36 @@ class TestLagCacheLookup:
         assert peak <= 3.43e6
 
 
-def decoded(codes):
-    return list(zip(*(c.tolist() for c in spectra._decode(codes))))
+def spy_on_orbits(cache, monkeypatch):
+    """The list of representatives `cache` computes from now on."""
+    computed = []
+    compute = cache._compute_orbits
+    monkeypatch.setattr(cache, "_compute_orbits", lambda t1, t2: computed.extend(
+        zip(t1.tolist(), t2.tolist())) or compute(t1, t2))
+    return computed
+
+
+def orbits_below(T1, T2, N):
+    """The sorted representatives (a, b) of the lags with a < N."""
+    return sorted({rep for rep in map(six_image_lag, T1.tolist(), T2.tolist())
+                   if rep[0] < N})
+
+
+def packed_index(t1, t2, N):
+    a, b = six_image_lag(t1, t2)
+    return a * (a + 1) // 2 + b if a < N else -1
 
 
 class TestOrbitCodes:
+    """`_orbit_index`, the packed index of a lag's orbit, against the
+    largest-of-six-images representative."""
+
     def test_match_canonical_lag_on_a_box(self):
+        N = 200  # a runs to 300
         ax = np.arange(-150, 151)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        want = [six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
-        assert decoded(spectra._orbit_codes(T1, T2)) == want
+        want = [packed_index(a, b, N) for a, b in zip(T1.tolist(), T2.tolist())]
+        assert spectra._orbit_index(T1, T2, N).tolist() == want
 
     def test_match_canonical_lag_up_to_n_minus_one(self):
         N = 2000
@@ -206,31 +225,41 @@ class TestOrbitCodes:
         edge = np.array([-(N - 1), -(N - 2), -1, 0, 1, N - 2, N - 1])
         E1, E2 = (T.ravel() for T in np.meshgrid(edge, edge, indexing="ij"))
         T1, T2 = np.concatenate([T1, E1]), np.concatenate([T2, E2])
-        want = [six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())]
-        assert decoded(spectra._orbit_codes(T1, T2)) == want
+        want = [packed_index(a, b, N) for a, b in zip(T1.tolist(), T2.tolist())]
+        got = spectra._orbit_index(T1, T2, N)
+        assert got.tolist() == want
+        assert (got == -1).any()
 
     def test_representatives_have_t1_at_least_t2_at_least_zero(self):
         # `_compute_orbits` relies on it: alpha = 0 and n = N - t1
         ax = np.arange(-300, 301)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        t1, t2 = spectra._decode(spectra._orbit_codes(T1, T2))
-        assert np.all(t1 >= t2) and np.all(t2 >= 0)
+        t1, t2 = spectra._orbit_lags(spectra._orbit_index(T1, T2, 601))
+        assert np.all(t1 >= t2) and np.all(t2 >= 0) and np.all(t1 < 601)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(st.integers(-(2 ** 29) + 1, 2 ** 29 - 1),
-                              st.integers(-(2 ** 29) + 1, 2 ** 29 - 1)),
-                    min_size=1, max_size=20))
-    def test_representatives_ordered_up_to_the_code_range(self, lags):
+    @given(st.lists(st.tuples(st.integers(-(2 ** 30) + 1, 2 ** 30 - 1),
+                              st.integers(-(2 ** 30) + 1, 2 ** 30 - 1)),
+                    min_size=1, max_size=20),
+           st.integers(1, 2 ** 31))
+    def test_representatives_ordered_up_to_the_code_range(self, lags, N):
         T1, T2 = np.array(lags, np.int64).T
-        t1, t2 = spectra._decode(spectra._orbit_codes(T1, T2))
-        assert np.all(t1 >= t2) and np.all(t2 >= 0)
-        assert list(zip(t1.tolist(), t2.tolist())) == [six_image_lag(*lag) for lag in lags]
+        index = spectra._orbit_index(T1, T2, N)
+        assert index.tolist() == [packed_index(*lag, N) for lag in lags]
+        inside = index >= 0
+        t1, t2 = spectra._orbit_lags(index[inside])
+        assert list(zip(t1.tolist(), t2.tolist())) == [
+            six_image_lag(*lag) for lag, keep in zip(lags, inside) if keep]
 
     def test_order_as_the_lag_tuples(self):
-        lags = [(-5, 3), (-5, 4), (-4, -9), (0, 0), (2, -7), (2, 1), (7, 7)]
-        codes = spectra._encode(*np.array(lags).T)
-        assert np.all(np.diff(codes) > 0)
-        assert decoded(codes) == lags
+        # the representatives of a < R, in (a, b) order, are 0, 1, 2, ...:
+        # so a scatter mask over the table lists orbits in runs of equal a
+        R = 60
+        reps = [(a, b) for a in range(R) for b in range(a + 1)]
+        a, b = np.array(reps).T
+        index = spectra._orbit_index(a, b, R)
+        assert index.tolist() == list(range(R * (R + 1) // 2))
+        assert list(zip(*(t.tolist() for t in spectra._orbit_lags(index)))) == reps
 
 
 @st.composite
@@ -249,6 +278,21 @@ def batch_cases(draw):
     return TimeSeries(values), draw(batch), draw(batch)
 
 
+@st.composite
+def lookup_sequences(draw):
+    """A series and a sequence of lag batches, each with its own lag bound,
+    so that the store grows by rows between lookups, or not; a batch may
+    repeat its lags, and lags beyond N - 1 (a >= N) come up too."""
+    N = draw(st.integers(1, 120))
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 32))).standard_normal(N) ** 2
+    batches = []
+    for bound in draw(st.lists(st.integers(0, N + 3), min_size=1, max_size=5)):
+        lag = st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+        batch = draw(st.lists(lag, max_size=40))
+        batches.append(batch + batch[:draw(st.integers(0, len(batch)))])
+    return TimeSeries(values), batches
+
+
 class TestLagCacheBatch:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(batch_cases())
@@ -263,18 +307,27 @@ class TestLagCacheBatch:
             assert got.dtype == np.float64 and got.shape == (len(batch),)
             assert got.tolist() == [oracle(*six_image_lag(a, b)) for a, b in batch]
 
-    def test_each_orbit_computed_once(self, series, monkeypatch):
-        computed = []
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lookup_sequences())
+    def test_any_lookup_history_matches_a_fresh_store(self, case):
+        series, batches = case
         cache = BispectrumLagCache(series)
-        compute = cache._compute_orbits
-        monkeypatch.setattr(cache, "_compute_orbits",
-                            lambda codes: computed.extend(codes.tolist()) or compute(codes))
+        oracle = DirectCumulant(series)
+        for batch in batches:
+            T1, T2 = np.array(batch, np.int64).reshape(-1, 2).T
+            got = cache.cumulants(T1, T2).tolist()
+            assert got == BispectrumLagCache(series).cumulants(T1, T2).tolist()
+            assert got == [oracle(*six_image_lag(a, b)) for a, b in batch]
+
+    def test_each_orbit_computed_once(self, series, monkeypatch):
+        # every a < N here
+        cache = BispectrumLagCache(series)
+        computed = spy_on_orbits(cache, monkeypatch)
         ax = np.arange(-12, 13)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         for half in (slice(0, 300), slice(300, None), slice(None)):
             cache.cumulants(T1[half], T2[half])
-        orbits = {six_image_lag(a, b) for a, b in zip(T1.tolist(), T2.tolist())}
-        assert sorted(decoded(np.array(computed))) == sorted(orbits)
+        assert sorted(computed) == orbits_below(T1, T2, series.n)
 
     def test_empty_input(self, series):
         got = BispectrumLagCache(series).cumulants(np.array([], int), np.array([], int))
