@@ -284,10 +284,43 @@ def _lag_terms(series, window, M, order, cache=None):
 def _frequency_sum(lags, terms, omega):
     """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1),
     with each coordinate of omega reduced by `canonical_frequency`; returns
-    the sum and the reduced omega."""
+    the sum and the reduced omega.
+
+    The terms are real and the lags come in lexicographic order, as a plan
+    holds them.  cos and sin of tau w are taken once per axis, on [-L, L]
+    for L the largest |lag|, and none per lag.  At order 2 the sum is one dot
+    product with each.  At order 3 the terms of each block of tau1 rows
+    (`_LAG_BLOCK` points, as in `_box_blocks`) are scattered into a dense
+    (rows x (2L + 1)) array D, which adds cos1 . (D cos2) - sin1 . (D sin2)
+    to the real part and -(sin1 . (D cos2) + cos1 . (D sin2)) to the
+    imaginary part: the indirect method's E1 (W o C) E2^T, blocked."""
     omega = tuple(canonical_frequency(w) for w in omega)
-    arg = sum((T * w for T, w in zip(lags[1:], omega[1:])), lags[0] * omega[0])
-    return complex((terms * np.exp(-1j * arg)).sum() / _TWO_PI ** len(lags)), omega
+    L = max(max(-int(T.min(initial=0)), int(T.max(initial=0))) for T in lags)
+    ax = np.arange(-L, L + 1)
+    (cos1, sin1), *rest = [(np.cos(ax * w), np.sin(ax * w)) for w in omega]
+    if not rest:
+        at = lags[0] + L
+        total = complex(terms @ cos1[at], -(terms @ sin1[at]))
+        return total / _TWO_PI, omega
+    T1, T2 = lags
+    phase2 = np.stack(rest[0], axis=1)
+    width = ax.size
+    step = max(1, _LAG_BLOCK // width)
+    re = im = 0.0
+    for r0 in range(-L, L + 1, step):
+        rows = min(step, L + 1 - r0)
+        lo, hi = np.searchsorted(T1, [r0, r0 + rows]).tolist()
+        D = np.zeros(rows * width)
+        at = T1[lo:hi] - r0
+        at *= width
+        at += T2[lo:hi]
+        at += L
+        D[at] = terms[lo:hi]
+        dc, ds = (D.reshape(rows, width) @ phase2).T
+        c1, s1 = cos1[r0 + L:r0 + L + rows], sin1[r0 + L:r0 + L + rows]
+        re += c1 @ dc - s1 @ ds
+        im -= s1 @ dc + c1 @ ds
+    return complex(re, im) / _TWO_PI ** 2, omega
 
 
 def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,

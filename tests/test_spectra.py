@@ -742,3 +742,82 @@ class TestCombinerCacheKeys:
                                               abs=1e-12)
             assert window_l2_norm(w) == pytest.approx(
                 direct_l2_norm(w, w.support_radius), rel=1e-5)
+
+
+def per_lag_sum(lags, terms, omega):
+    """The frequency sum one lag at a time, as one complex exponential per
+    lag, and the bound 1e-12 sum |terms| / (2pi)^(s-1) on its rounding."""
+    arg = sum(T * canonical_frequency(w) for T, w in zip(lags, omega))
+    scale = TWO_PI ** len(lags)
+    return (terms * np.exp(-1j * arg)).sum() / scale, 1e-12 * np.abs(terms).sum() / scale
+
+
+FREQUENCIES = [(0.0, 0.0), (2.0, 1.0), (-2.9, 0.7), (3.1, -3.1), (0.3 + TWO_PI, 1.2)]
+
+
+class TestFrequencySumOracle:
+    """Each estimator equals the per-lag sum within rounding, on the lags and
+    terms of its plan."""
+
+    @pytest.mark.filterwarnings("ignore:window skew-tent")
+    @pytest.mark.parametrize("window,M,N", [(optimal_window(), 4.0, 300),
+                                            (optimal_window(), 1.0, 61),
+                                            (flat_top_rcf(0.51), 6.0, 150),
+                                            (SKEW_TENT, 30.0, 80)],
+                             ids=["opt-300", "opt-61", "rcf", "skew-tent"])
+    def test_bispectrum_estimators(self, window, M, N):
+        s = TimeSeries(np.random.default_rng(N).standard_normal(N) ** 2)
+        (T1, T2), w, C, _ = spectra._lag_terms(s, window, M, 3)
+        terms = w * C
+        for omega in FREQUENCIES:
+            cases = [(estimate_bispectrum(s, window, M, omega).value, terms),
+                     (bispectrum_curvature(s, window, M, omega),
+                      -(T1 * T1 - T1 * T2 + T2 * T2) * terms)]
+            for i, j in [(1, 1), (1, 2), (2, 2)]:
+                cases.append((estimate_bispectrum_partial(s, window, M, omega, i, j),
+                              -(T1, T2)[i - 1] * (T1, T2)[j - 1] * terms))
+            for got, case_terms in cases:
+                want, tol = per_lag_sum((T1, T2), case_terms, omega)
+                assert abs(got - want) <= tol, (omega, got, want)
+
+    @pytest.mark.parametrize("window,M", [(trapezoid_window(0.51), 7.0),
+                                          (parzen_window(), 40.0)])
+    def test_spectrum(self, window, M):
+        s = TimeSeries(np.random.default_rng(1).standard_normal(300))
+        (T,), w, C, _ = spectra._lag_terms(s, window, M, 2)
+        for omega in [0.0, 1.0, -2.9, 3.1 + TWO_PI]:
+            est = estimate_spectrum(s, window, M, omega, truncate=False)
+            want, tol = per_lag_sum((T,), w * C, (omega,))
+            assert abs(complex(est.value, est.imag_discarded) - want) <= tol
+
+    def test_warm_estimate_peak(self):
+        # untruncated opt at N = 600 has 1,078,201 lags; with its plan built,
+        # an estimate holds the lags' packed indices and cumulants, their
+        # terms and the blocks of the sum (60.4 MB with a complex
+        # exponential per lag)
+        s = TimeSeries(np.random.default_rng(0).standard_normal(600) ** 2)
+        window = dataclasses.replace(optimal_window())
+        estimate_bispectrum(s, window, 5.0, (0.3, 0.2))
+        tracemalloc.start()
+        try:
+            est = estimate_bispectrum(s, window, 5.0, (1.3, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_lags == 1_078_201
+        assert peak < 50e6
+
+    def test_second_bandwidth_estimate_peak(self):
+        # as above at a second M, whose plan is built within the estimate
+        # (86.3 MB with a complex exponential per lag)
+        s = TimeSeries(np.random.default_rng(0).standard_normal(600) ** 2)
+        window = dataclasses.replace(optimal_window())
+        estimate_bispectrum(s, window, 5.0, (0.3, 0.2))
+        tracemalloc.start()
+        try:
+            est = estimate_bispectrum(s, window, 7.0, (1.3, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_lags == 1_078_201
+        assert peak < 60e6
