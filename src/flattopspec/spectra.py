@@ -237,6 +237,10 @@ def _lag_plan(window: LagWindow, M: float, N: int):
     A third-order sample cumulant at (t1, t2) sums N - max(|t1|, |t2|,
     |t1 - t2|) products, so at order 3 only lags with |t1 - t2| < N are kept;
     the window is evaluated on those alone.  The box is never held whole.
+
+    A window of unbounded support has L = N - 1 at every M.  Its plans that
+    keep every lag share one set of lag arrays per N, memoized on the window
+    under ("box", N), so a plan at a further M holds only its weights.
     """
     key = (float(M), int(N))
     plan = window._memo.get(key)
@@ -244,19 +248,35 @@ def _lag_plan(window: LagWindow, M: float, N: int):
         return plan
     R = window.support_radius
     L = N - 1 if R is None else min(int(math.ceil(R * M)), N - 1)
+    box = window._memo.get(("box", N))
+    if box is None:
+        blocks = _box_blocks(L, N, window.order)
+    else:
+        blocks = (tuple(t[i:i + _LAG_BLOCK] for t in box)
+                  for i in range(0, box[0].size, _LAG_BLOCK))
     parts = [[] for _ in range(window.order)]
-    for lags in _box_blocks(L, N, window.order):
+    whole = True  # every lag of the box kept
+    for lags in blocks:
         w = evaluate_blockwise(window.fn, *(t / M for t in lags))
         mask = w != 0.0
+        if not mask.all():
+            whole = False
+            lags, w = [t[mask] for t in lags], w[mask]
         for part, values in zip(parts, (*lags, w)):
-            part.append(values[mask])
+            part.append(values)
+    if whole and box is not None:
+        del parts[:-1]  # the lags are views of the shared ones
     result = []
     for part in parts:
         # free each array's blocks once it is joined, so that the blocks and
         # the result overlap by one array at most
         result.append(np.concatenate(part))
         part.clear()
-    plan = window._memo[key] = (tuple(result[:-1]), result[-1], L)
+    w = result.pop()
+    if whole and R is None:
+        box = window._memo.setdefault(("box", N), tuple(result))
+        result = box
+    plan = window._memo[key] = (tuple(result), w, L)
     return plan
 
 

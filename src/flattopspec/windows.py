@@ -303,8 +303,9 @@ class LagWindow:
     `qform_profile`, when set, gives lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
 
     `_memo` holds what depends on the window alone: its lag plan at each
-    (M, N) an estimate asks for, its L2 norm and its curvature at 0.  It takes
-    no part in equality; `dataclasses.replace(window)` copies a window cold.
+    (M, N) an estimate asks for, the lags its plans share at each N when its
+    support is unbounded, its L2 norm and its curvature at 0.  It takes no
+    part in equality; `dataclasses.replace(window)` copies a window cold.
     """
 
     name: str

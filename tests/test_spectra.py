@@ -414,6 +414,52 @@ class TestLagWeightBlocks:
         assert peak < 1.5 * sum(a.nbytes for a in (T1, T2, w))
 
 
+def fading_window():
+    """A window of unbounded support that is exactly 0 beyond radius 10, so
+    that its plans keep the whole box only at large M."""
+    return LagWindow(name="fading", order=3, support_radius=None,
+                     fn=lambda x, y: np.maximum(
+                         1.0 - (np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2) / 100,
+                         0.0))
+
+
+class TestPlanSharing:
+    def test_untruncated_plans_share_one_lag_set_per_n(self):
+        window = dataclasses.replace(optimal_window())
+        (A1, A2), wa, _ = spectra._lag_plan(window, 2.0, 50)
+        (B1, B2), wb, _ = spectra._lag_plan(window, 3.0, 50)
+        assert A1 is B1 and A2 is B2 and wa is not wb
+        (C1, C2), _, _ = spectra._lag_plan(window, 2.0, 51)
+        assert C1 is not A1 and C2 is not A2
+        assert (A1.size, C1.size) == (3 * 50 * 50 - 3 * 50 + 1, 3 * 51 * 51 - 3 * 51 + 1)
+        # a plan read from the shared lags equals one built cold
+        for a, b in zip((B1, B2, wb), meshgrid_lag_weights(window, 3.0, 50)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("window,Ms", [(flat_top_rpf(0.51), (300.0, 400.0)),
+                                           (optimal_window(10.0), (40.0, 50.0)),
+                                           (fading_window(), (0.5, 1.0))],
+                             ids=["flat-top", "truncated-opt", "zeros"])
+    def test_plans_of_other_windows_keep_their_own(self, window, Ms):
+        # L = N - 1 at both M, so only the window's support tells them apart
+        window = dataclasses.replace(window)
+        plans = [spectra._lag_plan(window, M, 300) for M in Ms]
+        assert [L for _, _, L in plans] == [299, 299]
+        (A1, A2), _, _ = plans[0]
+        (B1, B2), _, _ = plans[1]
+        assert A1 is not B1 and A2 is not B2
+        assert ("box", 300) not in window._memo
+
+    def test_plan_with_zeros_after_a_shared_one(self):
+        window = fading_window()
+        (A1, _), _, _ = spectra._lag_plan(window, 100.0, 20)
+        (B1, B2), wb, _ = spectra._lag_plan(window, 1.0, 20)
+        (C1, _), _, _ = spectra._lag_plan(window, 200.0, 20)
+        assert A1 is C1 and B1.size < A1.size
+        for a, b in zip((B1, B2, wb), meshgrid_lag_weights(window, 1.0, 20)):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestSpectrum:
     def test_matches_naive(self, series):
         for window in (trapezoid_window(0.51), parzen_window()):
