@@ -343,9 +343,9 @@ _PILOT_LAGS = ((3,), (3, 0))
 
 def _flat_top_pilots(series, c, k2d=2.0, k3d=2.0):
     # both pilot bandwidths come from the general selection rule (1-D and
-    # 2-D annuli respectively), giving real-valued M = m / b; thresholds
-    # are bootstrap-calibrated by default since the fluctuation scale of
-    # higher-order cumulants is model-dependent
+    # 2-D annuli respectively), giving real-valued M = m / b; the thresholds
+    # default to k = 2, and callers that calibrate pass bootstrap ones, since
+    # the fluctuation scale of higher-order cumulants is model-dependent
     sel2 = select_bandwidth_general(series, order=2, k=k2d, b=c)
     sel3 = select_bandwidth_general(series, order=3, k=k3d, b=c)
     return trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0)

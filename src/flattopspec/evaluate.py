@@ -193,6 +193,9 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
         if np.any(denom <= 0):
             raise DegenerateSeriesError("non-positive standardization denominator")
 
+        # (N, rep) -> (M, cap_hit) of the selection rule: a replication's
+        # series, and so its selection, is the same for every window
+        selections = {}
         for N in N_list:
             for window in windows:
                 for bw in bw_list:
@@ -202,9 +205,12 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                     for rep in range(R):
                         series = generate(spec, N, replication=rep)
                         if bw == "auto":
-                            ks = (_bootstrap_ks(series, [_A_LAGS], 2 * rep)[0]
-                                  if calibrate else ())
-                            M, cap_hit = _selection_rule_bandwidth(series, c, *ks)
+                            if (N, rep) not in selections:
+                                ks = (_bootstrap_ks(series, [_A_LAGS], 2 * rep)[0]
+                                      if calibrate else ())
+                                selections[N, rep] = _selection_rule_bandwidth(
+                                    series, c, *ks)
+                            M, cap_hit = selections[N, rep]
                             at_cap += cap_hit
                         else:
                             M = float(bw)
@@ -284,10 +290,12 @@ _PLUGIN_PROCEDURES = {
 
 
 def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
-    """Bandwidth of each procedure on one series.  Procedure (a), if calibrated,
-    and the flat-top pilots share two bootstraps, seeded rep_seed and + 1."""
+    """Bandwidth of each procedure on one series.  With `calibrate`, procedure
+    (a) and the flat-top pilots share two bootstraps, seeded rep_seed and + 1;
+    without, every threshold is the default k."""
     flat_top = any(p in _PLUGIN_PROCEDURES["flat-top"] for p in procedures)
-    pairs = [_A_LAGS] * (calibrate and "a" in procedures) + [_PILOT_LAGS] * flat_top
+    pairs = ([_A_LAGS] * ("a" in procedures) + [_PILOT_LAGS] * flat_top
+             if calibrate else [])
     ks = dict(zip(pairs, _bootstrap_ks(series, pairs, rep_seed)))
     chosen = {}
     if "a" in procedures:
@@ -295,7 +303,7 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:
-            pilots = (_flat_top_pilots(series, c, *ks[_PILOT_LAGS])
+            pilots = (_flat_top_pilots(series, c, *ks.get(_PILOT_LAGS, ()))
                       if pilot == "flat-top" else _second_order_pilots(series))
             sels = _plugin_selections(window, series, [points[p] for p in group],
                                       pilot, pilots)

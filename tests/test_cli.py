@@ -167,8 +167,9 @@ class TestStudy:
         assert "cap_hits" not in sidecar["meta"]  # no selection at a fixed M
 
     def test_sidecar_counts_selections_at_the_cap(self, tmp_path, monkeypatch):
-        # a stubbed rule that stops at its cap on replications 0 and 2 of 3,
-        # once per window; the table itself keeps its columns
+        # a stubbed rule that stops at its cap on replications 0 and 2 of 3;
+        # it runs once per series, 2 models x 3 replications, and both
+        # windows read its selection; the table itself keeps its columns
         calls = []
 
         def capped(series, k1=2.0, k2=2.0, b=0.51):
@@ -181,7 +182,7 @@ class TestStudy:
                      "--windows", "rpf:c=0.51,rcf:c=0.51", "--N", "60",
                      "--R", "3", "--bandwidth", "auto", "--grid-n", "3",
                      "--seed", "1", "--output", str(out)]) == 0
-        assert len(calls) == 12
+        assert len(calls) == 6
         meta = json.loads((tmp_path / "s.csv.json").read_text())["meta"]
         assert meta["cap_hits"] == [
             {"model": m, "window": w, "N": 60, "at_cap": 2}

@@ -13,6 +13,7 @@ from flattopspec import (
     estimate_bispectrum,
     flat_top_rpf,
     generate,
+    optimal_window,
     run_mse_study,
 )
 from flattopspec import bandwidth
@@ -156,7 +157,8 @@ class TestHistogramStudy:
                                               full[(r.model, r.procedure)])
 
     def test_pilot_bootstraps_seeded_per_replication(self, monkeypatch):
-        # each replication's flat-top pilots resample with their own block starts
+        # each replication's calibrated flat-top pilots resample with their
+        # own block starts
         seeds = []
         real = bandwidth.bootstrap_threshold
 
@@ -166,8 +168,27 @@ class TestHistogramStudy:
 
         monkeypatch.setattr(bandwidth, "bootstrap_threshold", spy)
         bandwidth_histogram_study([ModelSpec("iid-chisq1", seed=12)], N_list=(200,),
-                                  R=3, procedures=("b",))
+                                  R=3, procedures=("b",), calibrate=True)
         assert seeds == [0, 1, 2, 3, 4, 5]
+
+    def test_uncalibrated_study_draws_no_bootstrap(self, monkeypatch):
+        # with calibrate=False every threshold, the flat-top pilots' too, is
+        # the default k: the pilots equal those of k = 2 given outright
+        calls = []
+        real = bandwidth.bootstrap_threshold
+        monkeypatch.setattr(bandwidth, "bootstrap_threshold",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        spec = ModelSpec("arma11", seed=12)
+        results = bandwidth_histogram_study([spec], N_list=(200,), R=2,
+                                            procedures=("a", "b", "c"))
+        assert calls == []
+        window = optimal_window()
+        for rep in range(2):
+            series = generate(spec, 200, replication=rep)
+            pilots = bandwidth._flat_top_pilots(series, 0.51, 2.0, 2.0)
+            sels = bandwidth._plugin_selections(window, series, [(0.0, 0.0), (2.0, 1.0)],
+                                                "flat-top", pilots)
+            assert [r.bandwidths[rep] for r in results[1:]] == [s.M_hat for s in sels]
 
     def test_calibrated_study_draws_twice_per_replication(self, monkeypatch):
         # procedure a's (3, 0) and the pilots' (3,) share the resamples of
