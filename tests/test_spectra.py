@@ -138,7 +138,7 @@ class TestLagCacheLookup:
         # a < N is computed once, and none with a >= N
         cache = BispectrumLagCache(series)
         computed = spy_on_orbits(cache, monkeypatch)
-        monkeypatch.setattr(spectra, "_LAG_BLOCK", 100)
+        monkeypatch.setattr(spectra, "_INDEX_BLOCK", 100)
         ax = np.arange(-45, 46)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
         half = T1.size // 2
@@ -154,7 +154,7 @@ class TestLagCacheLookup:
 
     def test_cold_untruncated_opt_computes_orbits_in_one_call(self, monkeypatch):
         # the 3N^2 - 3N + 1 = 269,101 lags of untruncated opt at N = 300 span
-        # 5 lag blocks; their N(N + 1)/2 orbits are computed in one call
+        # 33 index blocks; their N(N + 1)/2 orbits are computed in one call
         s = TimeSeries(np.random.default_rng(0).standard_normal(300) ** 2)
         (T1, T2), _, _ = spectra._lag_plan(optimal_window(), 5.0, s.n)
         assert T1.size == 269_101
