@@ -314,39 +314,37 @@ def _frequency_sum(lags, terms, omega):
 
     The terms are real and the lags come in lexicographic order, as a plan
     holds them.  cos and sin of tau w are taken once per axis, on [-L, L]
-    for L the largest |lag|, and none per lag.  At order 2 the sum is one dot
-    product with each.  At order 3 the terms of each block of tau1 rows
-    (`_LAG_BLOCK` points, as in `_box_blocks`) are scattered into a dense
-    (rows x (2L + 1)) array D, which adds cos1 . (D cos2) - sin1 . (D sin2)
-    to the real part and -(sin1 . (D cos2) + cos1 . (D sin2)) to the
-    imaginary part: the indirect method's E1 (W o C) E2^T, blocked."""
+    for L the largest |lag|, as the rows of E_k = [cos_k; sin_k], and none
+    per lag.  At order 2 the sum is E_1 times the terms.  At order 3 the
+    terms of each block of tau1 rows (`_LAG_BLOCK` points, as in
+    `_box_blocks`) are scattered into a dense (rows x (2L + 1)) array D, and
+    the 2 x 2 matrices G = E_1 D E_2^T of the blocks, summed, give the real
+    part G00 - G11 and the imaginary part -(G10 + G01): the indirect
+    method's E1 (W o C) E2^T, blocked."""
     omega = tuple(canonical_frequency(w) for w in omega)
     L = max(max(-int(T.min(initial=0)), int(T.max(initial=0))) for T in lags)
-    ax = np.arange(-L, L + 1)
-    (cos1, sin1), *rest = [(np.cos(ax * w), np.sin(ax * w)) for w in omega]
-    if not rest:
-        at = lags[0] + L
-        total = complex(terms @ cos1[at], -(terms @ sin1[at]))
-        return total / _TWO_PI, omega
+    width = 2 * L + 1
+    ang = np.multiply.outer(omega, np.arange(-L, L + 1))
+    E = np.empty((len(omega), 2, width))
+    np.cos(ang, out=E[:, 0])
+    np.sin(ang, out=E[:, 1])
+    if len(lags) == 1:
+        c, s = E[0][:, lags[0] + L] @ terms
+        return complex(c, -s) / _TWO_PI, omega
     T1, T2 = lags
-    phase2 = np.stack(rest[0], axis=1)
-    width = ax.size
     step = max(1, _LAG_BLOCK // width)
-    re = im = 0.0
-    for r0 in range(-L, L + 1, step):
+    starts = range(-L, L + 1, step)
+    cuts = np.searchsorted(T1, starts[1:]).tolist()
+    G = np.zeros((2, 2))
+    for r0, lo, hi in zip(starts, [0, *cuts], [*cuts, T1.size]):
         rows = min(step, L + 1 - r0)
-        lo, hi = np.searchsorted(T1, [r0, r0 + rows]).tolist()
-        D = np.zeros(rows * width)
-        at = T1[lo:hi] - r0
-        at *= width
+        D = np.zeros((rows, width))
+        at = T1[lo:hi] * width
         at += T2[lo:hi]
-        at += L
-        D[at] = terms[lo:hi]
-        dc, ds = (D.reshape(rows, width) @ phase2).T
-        c1, s1 = cos1[r0 + L:r0 + L + rows], sin1[r0 + L:r0 + L + rows]
-        re += c1 @ dc - s1 @ ds
-        im -= s1 @ dc + c1 @ ds
-    return complex(re, im) / _TWO_PI ** 2, omega
+        at += L - r0 * width  # (t1 - r0, t2 + L) in D
+        D.ravel()[at] = terms[lo:hi]
+        G += E[0][:, r0 + L:r0 + L + rows] @ (D @ E[1].T)
+    return complex(G[0, 0] - G[1, 1], -(G[1, 0] + G[0, 1])) / _TWO_PI ** 2, omega
 
 
 def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,
