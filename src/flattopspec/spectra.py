@@ -160,7 +160,7 @@ class BispectrumLagCache:
         table = self._table
         size = int(index.max(initial=-1)) + 1
         if size >= table.size:
-            rows = int(_orbit_lags(np.array([size - 1]))[0][0]) + 1
+            rows = (math.isqrt(8 * size - 7) - 1) // 2 + 1  # up to that of size - 1
             grown = np.full(rows * (rows + 1) // 2 + 1, np.nan)
             grown[:table.size - 1] = table[:-1]
             grown[-1] = 0.0
@@ -215,7 +215,6 @@ def autocumulants(series: TimeSeries, taus) -> np.ndarray:
         out[i] = np.dot(y[tau - alpha:tau - alpha + n_terms],
                         y[-alpha:-alpha + n_terms]) / N
     return out
-
 
 
 def _box_blocks(L: int, N: int, order: int):
@@ -280,8 +279,8 @@ def _lag_plan(window: LagWindow, M: float, N: int):
         part.clear()
     w = result.pop()
     if whole and R is None:
-        box = window._memo.setdefault(("box", N), tuple(result))
-        result = box
+        # the first such plan at N stores its lags, and the others read them
+        result = window._memo.setdefault(("box", N), tuple(result))
     plan = window._memo[key] = (tuple(result), w, L)
     return plan
 
@@ -307,30 +306,30 @@ def _lag_terms(series, window, M, order, cache=None):
     return lags, w, cache.cumulants(*lags), L
 
 
-def _frequency_sum(lags, terms, omega):
+def _frequency_sum(lags, terms, omega, L):
     """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1),
     with each coordinate of omega reduced by `canonical_frequency`; returns
     the sum and the reduced omega.
 
-    The terms are real and the lags come in lexicographic order, as a plan
-    holds them.  cos and sin of tau w are taken once per axis, on [-L, L]
-    for L the largest |lag|, as the rows of E_k = [cos_k; sin_k], and none
-    per lag.  At order 2 the sum is E_1 times the terms.  At order 3 the
-    terms of each block of tau1 rows (`_LAG_BLOCK` points, as in
+    The terms are real, and the lags lie in [-L, L]^(s-1) in lexicographic
+    order, as those of a plan with lag cap L do.  cos and sin of tau w are
+    taken once per value of each lag axis, and none per lag.  At order 2,
+    where the lags are the axis, the sum is one dot product of the terms with
+    each.  At order 3 they are the rows of E_k = [cos_k; sin_k] on [-L, L];
+    the terms of each block of tau1 rows (`_LAG_BLOCK` points, as in
     `_box_blocks`) are scattered into a dense (rows x (2L + 1)) array D, and
     the 2 x 2 matrices G = E_1 D E_2^T of the blocks, summed, give the real
     part G00 - G11 and the imaginary part -(G10 + G01): the indirect
     method's E1 (W o C) E2^T, blocked."""
     omega = tuple(canonical_frequency(w) for w in omega)
-    L = max(max(-int(T.min(initial=0)), int(T.max(initial=0))) for T in lags)
+    if len(lags) == 1:
+        arg = lags[0] * omega[0]
+        return complex(terms @ np.cos(arg), -(terms @ np.sin(arg))) / _TWO_PI, omega
     width = 2 * L + 1
     ang = np.multiply.outer(omega, np.arange(-L, L + 1))
-    E = np.empty((len(omega), 2, width))
+    E = np.empty((2, 2, width))
     np.cos(ang, out=E[:, 0])
     np.sin(ang, out=E[:, 1])
-    if len(lags) == 1:
-        c, s = E[0][:, lags[0] + L] @ terms
-        return complex(c, -s) / _TWO_PI, omega
     T1, T2 = lags
     step = max(1, _LAG_BLOCK // width)
     starts = range(-L, L + 1, step)
@@ -355,7 +354,7 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     estimate is clamped to zero and flagged.
     """
     lags, w, C, L = _lag_terms(series, window, M, 2)
-    val, omega_c = _frequency_sum(lags, w * C, (omega,))
+    val, omega_c = _frequency_sum(lags, w * C, (omega,), L)
     flagged = bool(truncate) and val.real < 0.0
     value = 0.0 if flagged else val.real
     return SpectralEstimate(
@@ -369,7 +368,7 @@ def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
                         cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
     lags, w, C, L = _lag_terms(series, window, M, 3, cache)
-    val, omega_c = _frequency_sum(lags, w * C, omega)
+    val, omega_c = _frequency_sum(lags, w * C, omega, L)
     return SpectralEstimate(
         value=val, omega=omega_c, M=float(M), window=window.name,
         order=3, n=series.n, lag_cap=L, n_lags=w.size,
@@ -385,8 +384,8 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    lags, w, C, _ = _lag_terms(series, window, M, 3, cache)
-    return _frequency_sum(lags, -lags[i - 1] * lags[j - 1] * w * C, omega)[0]
+    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
+    return _frequency_sum(lags, -lags[i - 1] * lags[j - 1] * w * C, omega, L)[0]
 
 
 def _curvature_terms(T1, T2, w, C):
@@ -397,5 +396,5 @@ def _curvature_terms(T1, T2, w, C):
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
                          cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    lags, w, C, _ = _lag_terms(series, window, M, 3, cache)
-    return _frequency_sum(lags, _curvature_terms(*lags, w, C), omega)[0]
+    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
+    return _frequency_sum(lags, _curvature_terms(*lags, w, C), omega, L)[0]
