@@ -411,16 +411,16 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     N = series.n
     cap = N / 4.0 if cap is None else cap
     spec_win, M2, bisp_win, M3 = pilots
-    spec_lags, spec_w, spec_C, spec_L = _lag_terms(series, spec_win, M2, 2)
+    (spec_lags, spec_w, _, _), spec_C = _lag_terms(series, spec_win, M2, 2)
     spec_terms = spec_w * spec_C
-    lags, w, C, bisp_L = _lag_terms(series, bisp_win, M3, 3)
-    curvature_terms = _curvature_terms(*lags, w, C)
+    (_, w, _, _), C = _lag_terms(series, bisp_win, M3, 3)
+    curvature_terms = _curvature_terms(w, C)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
 
     def spectrum(omega):
         # as `estimate_spectrum`, a negative estimate is clamped to 0
-        value = _frequency_sum(spec_lags, spec_terms, (omega,), spec_L)[0].real
+        value = _frequency_sum(spec_terms, (omega,), spec_lags)[0].real
         return 0.0 if value < 0.0 else value
 
     selections = []
@@ -428,7 +428,7 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
         product = spectrum(w1) * spectrum(w2) * spectrum(w1 + w2)
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")
-        curv = _frequency_sum(lags, curvature_terms, (w1, w2), bisp_L)[0]
+        curv = _frequency_sum(curvature_terms, (w1, w2))[0]
         M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
         selections.append(BandwidthSelection(
             M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",

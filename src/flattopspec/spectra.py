@@ -1,12 +1,12 @@
 """Smoothed lag-window estimates of the spectrum and bispectrum.
 
 Every estimate is one exact frequency sum over the lags of the window's plan
-at (M, N): the lags of its support box (`support_radius * M`, capped at
+at (M, N), the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
 A third-order sample cumulant is computed once per orbit of the six cumulant
-symmetries, by one kernel, into one store, a packed lower triangle indexed by
-the orbit's representative; the frequency sums, the plug-in pilots and both
-selection rules read it through one lookup, many lags at once.
+symmetries into one store, a packed triangle indexed by the representative
+(a, b), a >= b >= 0; order-3 plans are laid out on it, and both selection
+rules read it through one lookup, many lags at once.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cumulants import TimeSeries
 from .exceptions import DegenerateSeriesError
-from .windows import LagWindow, evaluate_blockwise
+from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry, evaluate_blockwise
 
 __all__ = [
     "SpectralEstimate",
@@ -35,13 +35,13 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# lag points per block of tau1 rows in `_box_blocks` and `_frequency_sum`
+# points per block of rows of a in `_frequency_sum`
 _LAG_BLOCK = 1 << 16
-# lags per block in `_orbit_index`: its int64 temporaries, 64 KB each, stay
-# below glibc's default mmap threshold, so no block faults in fresh pages.  At
-# 1 << 16 the index of 42,841 lags took 260-620 us by allocator state; at 8192
-# 235-290 us.
+# lags or orbits per block in `_orbit_index`, plans and `triangle`: int64
+# temporaries of 64 KB stay below glibc's mmap threshold, so no block faults
+# in fresh pages (the index of 42,841 lags: 235-290 us, 260-620 at 1 << 16)
 _INDEX_BLOCK = 8192
+_PLAN_MEMO = 8  # plans kept per window, the least recently used dropped first
 
 
 def canonical_frequency(w: float) -> float:
@@ -131,10 +131,9 @@ class BispectrumLagCache:
 
     One kernel, `_compute_orbits`, computes every value, each orbit once per
     cache, into one store: a packed lower triangle of float64 with the orbit
-    of representative (a, b), a >= b >= 0, at a(a + 1)/2 + b, grown by rows
-    and NaN where not yet computed, then one trailing 0.0, the cumulant of
-    every orbit with a >= N.  `cumulants`, the one lookup, reads a whole
-    array of lags there.
+    of representative (a, b), a >= b >= 0, at a(a + 1)/2 + b, grown by rows,
+    NaN where not yet computed, then one 0.0 for every orbit with a >= N.
+    `cumulants` reads a whole array of lags, and `triangle` the rows a < A.
     """
 
     def __init__(self, series: TimeSeries):
@@ -149,22 +148,24 @@ class BispectrumLagCache:
             raise DegenerateSeriesError("series has zero variance")
         return math.sqrt((var * var) * var)
 
-    def cumulants(self, T1, T2) -> np.ndarray:
-        """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
-        a float array, in one batched pass: the table grows by rows up to the
-        largest a < N asked for, and one gather reads every value, index -1
-        (a >= N) the trailing 0.0.  The orbits read as NaN, not yet computed,
-        are found with a scatter mask over the table, so in (a, b) order,
-        computed in one `_compute_orbits` call and gathered again."""
-        index = _orbit_index(T1, T2, self.series.n)
+    def _rows(self, size: int) -> np.ndarray:
+        """The table, grown by rows, if need be, to hold index size - 1."""
         table = self._table
-        size = int(index.max(initial=-1)) + 1
         if size >= table.size:
             rows = (math.isqrt(8 * size - 7) - 1) // 2 + 1  # up to that of size - 1
             grown = np.full(rows * (rows + 1) // 2 + 1, np.nan)
             grown[:table.size - 1] = table[:-1]
             grown[-1] = 0.0
             self._table = table = grown
+        return table
+
+    def cumulants(self, T1, T2) -> np.ndarray:
+        """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
+        a float array: one gather from the table, index -1 (a >= N) reading
+        the trailing 0.0.  The orbits read as NaN are found with a scatter
+        mask, so in (a, b) order, computed in one call and gathered again."""
+        index = _orbit_index(T1, T2, self.series.n)
+        table = self._rows(int(index.max(initial=-1)) + 1)
         values = table[index]
         missing = np.isnan(values)
         if missing.any():
@@ -173,6 +174,18 @@ class BispectrumLagCache:
             new = np.flatnonzero(asked)
             table[new] = self._compute_orbits(*_orbit_lags(new))
             table.take(index, out=values)
+        return values
+
+    def triangle(self, A: int) -> np.ndarray:
+        """The cumulants of the orbits a < A <= N in packed order, a view of
+        the table, computing those not yet computed a block at a time."""
+        size = A * (A + 1) // 2
+        values = self._rows(size)[:size]
+        for lo in range(0, size, _INDEX_BLOCK):
+            new = np.flatnonzero(np.isnan(values[lo:lo + _INDEX_BLOCK]))
+            if new.size:
+                new += lo
+                values[new] = self._compute_orbits(*_orbit_lags(new))
         return values
 
     def _compute_orbits(self, t1, t2) -> np.ndarray:
@@ -217,132 +230,113 @@ def autocumulants(series: TimeSeries, taus) -> np.ndarray:
     return out
 
 
-def _box_blocks(L: int, N: int, order: int):
-    """The lags of the box [-L, L]^(order - 1) in lexicographic order, as
-    one coordinate array per lag axis, a block of tau1 rows at a time; at
-    order 3, only those with |t1 - t2| < N."""
-    ax = np.arange(-L, L + 1)
-    if order == 2:
-        yield (ax,)
-        return
-    rows = max(1, _LAG_BLOCK // ax.size)
-    for i in range(0, ax.size, rows):
-        T1 = np.repeat(ax[i:i + rows], ax.size)
-        T2 = np.tile(ax, T1.size // ax.size)
-        inside = np.abs(T1 - T2) < N
-        yield T1[inside], T2[inside]
-
-
 def _lag_plan(window: LagWindow, M: float, N: int):
-    """The plan of `window` at (M, N), memoized on the window: the lags of the
-    box [-L, L]^(s-1), L = min(ceil(support_radius * M), N - 1), where the
-    window is nonzero and a sample cumulant of a length-N series can be, one
-    coordinate array per lag axis; the weights there; and L.
+    """The plan of `window` at (M, N), (lags, weights, L, n_lags), with L =
+    min(ceil(support_radius * M), N - 1) the lag cap and n_lags the number of
+    lags summed; the window keeps the `_PLAN_MEMO` plans it used last.
 
-    A third-order sample cumulant at (t1, t2) sums N - max(|t1|, |t2|,
-    |t1 - t2|) products, so at order 3 only lags with |t1 - t2| < N are kept;
-    the window is evaluated on those alone.  The box is never held whole.
-
-    A window of unbounded support has L = N - 1 at every M.  Its plans that
-    keep every lag share one set of lag arrays per N, memoized on the window
-    under ("box", N), so a plan at a further M holds only its weights.
-    """
+    At order 2 the lags are those of [-L, L] where the window is nonzero.  At
+    order 3 they are None: the weights lie on the packed triangle of orbits
+    (a, b), a < A, of `BispectrumLagCache`, one row per image under
+    `SYMMETRY_MAPS` (K = 6; 0 outside the box), or one row, taken at the
+    representative, for a window declared `symmetric` (K = 1), whose support
+    is then a union of orbits inside the box: A = L + 1, else min(2L + 1, N).
+    Each weight is divided by its orbit's multiplicity (6 at (0, 0), 2 at
+    (a, 0) and (a, a)), so the six images sum each distinct lag once."""
+    plans = window._memo.setdefault("plans", {})
     key = (float(M), int(N))
-    plan = window._memo.get(key)
-    if plan is not None:
-        return plan
-    R = window.support_radius
-    L = N - 1 if R is None else min(int(math.ceil(R * M)), N - 1)
-    box = window._memo.get(("box", N))
-    if box is None:
-        blocks = _box_blocks(L, N, window.order)
-    else:
-        blocks = (tuple(t[i:i + _LAG_BLOCK] for t in box)
-                  for i in range(0, box[0].size, _LAG_BLOCK))
-    parts = [[] for _ in range(window.order)]
-    whole = True  # every lag of the box kept
-    for lags in blocks:
-        w = evaluate_blockwise(window.fn, *(t / M for t in lags))
-        mask = w != 0.0
-        if not mask.all():
-            whole = False
-            lags, w = [t[mask] for t in lags], w[mask]
-        for part, values in zip(parts, (*lags, w)):
-            part.append(values)
-    if whole and box is not None:
-        del parts[:-1]  # the lags are views of the shared ones
-    result = []
-    for part in parts:
-        # free each array's blocks once it is joined, so that the blocks and
-        # the result overlap by one array at most
-        result.append(np.concatenate(part))
-        part.clear()
-    w = result.pop()
-    if whole and R is None:
-        # the first such plan at N stores its lags, and the others read them
-        result = window._memo.setdefault(("box", N), tuple(result))
-    plan = window._memo[key] = (tuple(result), w, L)
+    plan = plans.pop(key, None)
+    if plan is None:
+        R = window.support_radius
+        L = N - 1 if R is None else min(int(math.ceil(R * M)), N - 1)
+        if window.order == 2:
+            T = np.arange(-L, L + 1)
+            w = evaluate_blockwise(window.fn, T / M)
+            keep = w != 0.0
+            plan = (T[keep], w[keep], L, int(keep.sum()))
+        else:
+            plan = (None, *_orbit_weights(window, M, N, L))
+        if len(plans) >= _PLAN_MEMO:
+            del plans[next(iter(plans))]
+    plans[key] = plan
     return plan
 
 
+def _orbit_weights(window, M, N, L):
+    """The (K, A(A + 1)/2) weights of an order-3 plan, L and n_lags."""
+    K = 1 if window.symmetric else 6
+    A = L + 1 if K == 1 else min(2 * L + 1, N)
+    w, n_lags = np.empty((K, A * (A + 1) // 2)), 0
+    for lo in range(0, w.shape[1], _INDEX_BLOCK):
+        a, b = _orbit_lags(np.arange(lo, min(lo + _INDEX_BLOCK, w.shape[1])))
+        block = w[:, lo:lo + a.size]
+        images = [(a, b)] if K == 1 else [apply_symmetry(m, a, b) for m in SYMMETRY_MAPS]
+        for row, (t1, t2) in zip(block, images):
+            row[:] = evaluate_blockwise(window.fn, t1 / M, t2 / M)
+            row[(np.abs(t1) > L) | (np.abs(t2) > L)] = 0.0
+        multiplicity = 1 + (b == 0) + (a == b) + 3 * (a == 0)
+        block /= multiplicity
+        # an orbit has 6 / multiplicity lags, each an image multiplicity times
+        n_lags += int((np.count_nonzero(block, axis=0) * (6 // K) // multiplicity).sum())
+    return w, L, n_lags
+
+
 def _lag_terms(series, window, M, order, cache=None):
-    """The lags of the plan of an order-`order` window at (M, N), the weights
-    and the sample cumulants there, and the lag cap: every factor of an
-    estimate that does not depend on the frequency.  At order 3 the
-    cumulants come from one `cache.cumulants` lookup over all the plan's
-    lags (a fresh cache when none is passed)."""
+    """The plan of an order-`order` window at (M, N) and the sample cumulants
+    at its lags, or at order 3 on its triangle, from `cache` (a fresh one
+    when none is passed): every factor of an estimate free of frequency."""
     if M <= 0:
         raise ValueError("bandwidth M must be positive")
     if window.order != order:
         raise ValueError(f"expected an order-{order} window, got {window.name}")
-    lags, w, L = _lag_plan(window, M, series.n)
+    plan = _lag_plan(window, M, series.n)
     if order == 2:
-        return lags, w, autocumulants(series, lags[0]), L
+        return plan, autocumulants(series, plan[0])
     if not window.symmetric:
-        warnings.warn(f"window {window.name} does not satisfy the cumulant symmetries",
-                      stacklevel=3)
-    if cache is None:
-        cache = BispectrumLagCache(series)
-    return lags, w, cache.cumulants(*lags), L
+        warnings.warn(f"window {window.name} is not declared symmetric under the "
+                      "cumulant symmetries", stacklevel=3)
+    cache = BispectrumLagCache(series) if cache is None else cache
+    return plan, cache.triangle((math.isqrt(8 * plan[1].shape[1] + 1) - 1) // 2)
 
 
-def _frequency_sum(lags, terms, omega, L):
+# the image m(a, b) of an orbit under the k-th of `SYMMETRY_MAPS` has the
+# phase a x + b y, (x, y) = m^T omega, at these indices of (w1, w2, -w1 - w2)
+_IMAGE_X = [0, 1, 2, 2, 0, 1]
+_IMAGE_Y = [1, 0, 1, 0, 2, 2]
+
+
+def _frequency_sum(terms, omega, lags=None):
     """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1),
     with each coordinate of omega reduced by `canonical_frequency`; returns
     the sum and the reduced omega.
 
-    The terms are real, and the lags lie in [-L, L]^(s-1) in lexicographic
-    order, as those of a plan with lag cap L do.  cos and sin of tau w are
-    taken once per value of each lag axis, and none per lag.  At order 2,
-    where the lags are the axis, the sum is one dot product of the terms with
-    each.  At order 3 they are the rows of E_k = [cos_k; sin_k] on [-L, L];
-    the terms of each block of tau1 rows (`_LAG_BLOCK` points, as in
-    `_box_blocks`) are scattered into a dense (rows x (2L + 1)) array D, and
-    the 2 x 2 matrices G = E_1 D E_2^T of the blocks, summed, give the real
-    part G00 - G11 and the imaginary part -(G10 + G01): the indirect
-    method's E1 (W o C) E2^T, blocked."""
+    At order 2 the terms are real, at `lags`: one dot product with each of
+    cos and sin of tau w.  At order 3 they lie as an order-3 plan's weights.
+    Image k of an orbit (a, b) has the phase a x_k + b y_k, so with E_w =
+    [cos; sin] of a w, a in [0, A), and a block of rows of the terms in a
+    dense lower triangle D, it adds G = E_x D E_y^T, whose sum gives the real
+    part G00 - G11 and the imaginary part -(G10 + G01): the indirect method's
+    E1 (W o C) E2^T on its principal triangle.  One row of terms serves the
+    two images with each x at once, as E_x D (E_y + E_y')^T."""
     omega = tuple(canonical_frequency(w) for w in omega)
-    if len(lags) == 1:
-        arg = lags[0] * omega[0]
+    if lags is not None:
+        arg = lags * omega[0]
         return complex(terms @ np.cos(arg), -(terms @ np.sin(arg))) / _TWO_PI, omega
-    width = 2 * L + 1
-    ang = np.multiply.outer(omega, np.arange(-L, L + 1))
-    E = np.empty((2, 2, width))
-    np.cos(ang, out=E[:, 0])
-    np.sin(ang, out=E[:, 1])
-    T1, T2 = lags
-    step = max(1, _LAG_BLOCK // width)
-    starts = range(-L, L + 1, step)
-    cuts = np.searchsorted(T1, starts[1:]).tolist()
+    K, size = terms.shape
+    A = (math.isqrt(8 * size + 1) - 1) // 2
+    a = np.arange(A)
+    ang = np.multiply.outer((omega[0], omega[1], -omega[0] - omega[1]), a)
+    E = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (angle, cos or sin, a)
+    X, Y = (E, E.sum(axis=0) - E) if K == 1 else (E[_IMAGE_X], E[_IMAGE_Y])
+    step = max(1, _LAG_BLOCK // A)
     G = np.zeros((2, 2))
-    for r0, lo, hi in zip(starts, [0, *cuts], [*cuts, T1.size]):
-        rows = min(step, L + 1 - r0)
-        D = np.zeros((rows, width))
-        at = T1[lo:hi] * width
-        at += T2[lo:hi]
-        at += L - r0 * width  # (t1 - r0, t2 + L) in D
-        D.ravel()[at] = terms[lo:hi]
-        G += E[0][:, r0 + L:r0 + L + rows] @ (D @ E[1].T)
+    for r0 in range(0, A, step):
+        r1 = min(r0 + step, A)
+        D = np.zeros((K, r1 - r0, r1))
+        lower = np.greater_equal.outer(a[r0:r1], a[:r1])
+        for block, part in zip(D, terms[:, r0 * (r0 + 1) // 2:r1 * (r1 + 1) // 2]):
+            block[lower] = part
+        G += (X[:, :, r0:r1] @ D @ Y[:, :, :r1].transpose(0, 2, 1)).sum(axis=0)
     return complex(G[0, 0] - G[1, 1], -(G[1, 0] + G[0, 1])) / _TWO_PI ** 2, omega
 
 
@@ -353,25 +347,25 @@ def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: fl
     Returns the real part; when truncation is enabled (default) a negative
     estimate is clamped to zero and flagged.
     """
-    lags, w, C, L = _lag_terms(series, window, M, 2)
-    val, omega_c = _frequency_sum(lags, w * C, (omega,), L)
+    (lags, w, L, n_lags), C = _lag_terms(series, window, M, 2)
+    val, omega_c = _frequency_sum(w * C, (omega,), lags)
     flagged = bool(truncate) and val.real < 0.0
     value = 0.0 if flagged else val.real
     return SpectralEstimate(
         value=value, omega=omega_c, M=float(M), window=window.name,
         order=2, n=series.n, truncated_negative=flagged, lag_cap=L,
-        n_lags=w.size, imag_discarded=val.imag,
+        n_lags=n_lags, imag_discarded=val.imag,
     )
 
 
 def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
                         cache=None) -> SpectralEstimate:
     """Third-order smoothed periodogram at omega = (omega1, omega2)."""
-    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
-    val, omega_c = _frequency_sum(lags, w * C, omega, L)
+    (_, w, L, n_lags), C = _lag_terms(series, window, M, 3, cache)
+    val, omega_c = _frequency_sum(w * C, omega)
     return SpectralEstimate(
         value=val, omega=omega_c, M=float(M), window=window.name,
-        order=3, n=series.n, lag_cap=L, n_lags=w.size,
+        order=3, n=series.n, lag_cap=L, n_lags=n_lags,
     )
 
 
@@ -380,21 +374,25 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """Second partial derivative d^2 fhat / d omega_i d omega_j.
 
     Differentiating exp(-i tau.omega) twice brings down (-i tau_i)(-i tau_j)
-    = -tau_i tau_j, hence the leading minus sign.
+    = -tau_i tau_j, hence the leading minus sign; a factor per image.
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
-    return _frequency_sum(lags, -lags[i - 1] * lags[j - 1] * w * C, omega, L)[0]
+    (_, w, _, _), C = _lag_terms(series, window, M, 3, cache)
+    a, b = _orbit_lags(np.arange(C.size))
+    tau = np.array([apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])  # (6, 2, size)
+    return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, omega)[0]
 
 
-def _curvature_terms(T1, T2, w, C):
-    """The frequency-free factor of each lag's term in the curvature sum."""
-    return -(T1 * T1 - T1 * T2 + T2 * T2) * w * C
+def _curvature_terms(w, C):
+    """The terms of the curvature sum: -(t1^2 - t1 t2 + t2^2) w C, whose
+    factor is -(a^2 - ab + b^2) at every image of an orbit."""
+    a, b = _orbit_lags(np.arange(C.size))
+    return -(a * a - a * b + b * b) * w * C
 
 
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
                          cache=None) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    lags, w, C, L = _lag_terms(series, window, M, 3, cache)
-    return _frequency_sum(lags, _curvature_terms(*lags, w, C), omega, L)[0]
+    (_, w, _, _), C = _lag_terms(series, window, M, 3, cache)
+    return _frequency_sum(_curvature_terms(w, C), omega)[0]

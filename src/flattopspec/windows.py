@@ -301,11 +301,13 @@ class LagWindow:
     `support_radius` bounds the coordinates of the support box in scaled lag
     units (None means unbounded); it alone sets which lags an estimate sums.
     `qform_profile`, when set, gives lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
+    `symmetric` promises invariance under `SYMMETRY_MAPS`: an order-3 plan
+    then takes the kernel once per orbit of lags, not at each of six images.
 
-    `_memo` holds what depends on the window alone: its lag plan at each
-    (M, N) an estimate asks for, the lags its plans share at each N when its
-    support is unbounded, its L2 norm and its curvature at 0.  It takes no
-    part in equality; `dataclasses.replace(window)` copies a window cold.
+    `_memo` holds what depends on the window alone: its lag plans at the
+    (M, N) estimates ask for (the `spectra._PLAN_MEMO` most recently used),
+    its L2 norm and its curvature at 0.  It takes no part in equality;
+    `dataclasses.replace(window)` copies a window cold.
     """
 
     name: str
@@ -314,7 +316,7 @@ class LagWindow:
     flat_top_radius: float = 0.0
     support_radius: float | None = None
     params: dict = field(default_factory=dict)
-    symmetric: bool = True
+    symmetric: bool = False
     qform_profile: object = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -348,7 +350,7 @@ def flat_top_rpf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
         name="rpf", order=3, fn=lambda x, y: lambda_rpf(x, y, c),
-        flat_top_radius=c, support_radius=1.0, params={"c": c},
+        flat_top_radius=c, support_radius=1.0, params={"c": c}, symmetric=True,
     )
 
 
@@ -365,7 +367,7 @@ def flat_top_rcf(c: float = 0.51) -> LagWindow:
     return LagWindow(
         name="rcf", order=3, fn=lambda x, y: lambda_rcf(x, y, c),
         flat_top_radius=c, support_radius=2.0 / _SQRT3, params={"c": c},
-        qform_profile=partial(_rcf_profile, c=c),
+        symmetric=True, qform_profile=partial(_rcf_profile, c=c),
     )
 
 
@@ -395,7 +397,7 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     if truncation_radius is None:
         return LagWindow(
             name="opt", order=3, fn=lambda x, y: lambda_opt(x, y),
-            flat_top_radius=0.0, support_radius=None,
+            flat_top_radius=0.0, support_radius=None, symmetric=True,
             qform_profile=_opt_qform_profile,
         )
     r = float(truncation_radius)
@@ -404,7 +406,7 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     return LagWindow(
         name="opt", order=3, fn=partial(_lambda_opt_truncated, r=r),
         flat_top_radius=0.0, support_radius=2.0 / _SQRT3 * r,
-        params={"truncation_radius": r},
+        params={"truncation_radius": r}, symmetric=True,
         qform_profile=partial(_opt_qform_profile_truncated, r=r),
     )
 
@@ -430,7 +432,7 @@ def parzen_window() -> LagWindow:
 def parzen_window_2d() -> LagWindow:
     return LagWindow(
         name="parzen2d", order=3, fn=lambda x, y: _parzen2d_fn(x, y),
-        flat_top_radius=0.0, support_radius=1.0,
+        flat_top_radius=0.0, support_radius=1.0, symmetric=True,
     )
 
 

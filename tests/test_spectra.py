@@ -153,10 +153,11 @@ class TestLagCacheLookup:
         assert computed == []
 
     def test_cold_untruncated_opt_computes_orbits_in_one_call(self, monkeypatch):
-        # the 3N^2 - 3N + 1 = 269,101 lags of untruncated opt at N = 300 span
-        # 33 index blocks; their N(N + 1)/2 orbits are computed in one call
+        # the 3N^2 - 3N + 1 = 269,101 lags of a length-300 series where a
+        # cumulant can be nonzero span 33 index blocks; their N(N + 1)/2
+        # orbits are computed in one call
         s = TimeSeries(np.random.default_rng(0).standard_normal(300) ** 2)
-        (T1, T2), _, _ = spectra._lag_plan(optimal_window(), 5.0, s.n)
+        T1, T2, _ = meshgrid_lag_weights(optimal_window(), 5.0, s.n)
         assert T1.size == 269_101
         cache = BispectrumLagCache(s)
         computed = spy_on_orbits(cache, monkeypatch)
@@ -384,58 +385,127 @@ def meshgrid_lag_weights(window, M, N):
     return T1[keep], T2[keep], w[keep]
 
 
-class TestLagWeightBlocks:
-    @pytest.mark.parametrize("block", [1000, spectra._LAG_BLOCK])
-    @pytest.mark.parametrize("window,M,N", [(optimal_window(), 1.0, 40),
-                                            (optimal_window(), 1.0, 121),
-                                            (optimal_window(), 2.5, 121),
-                                            (flat_top_rpf(0.51), 5.0, 121),
-                                            (flat_top_rpf(0.51), 30.0, 40)])
-    def test_match_meshgrid(self, monkeypatch, block, window, M, N):
-        # a copy of the window has an empty memo, so its plan is built here
-        window = dataclasses.replace(window)
-        monkeypatch.setattr(spectra, "_LAG_BLOCK", block)
-        (T1, T2), w, L = spectra._lag_plan(window, M, N)
-        assert L == lag_cap(window, M, N)
-        for a, b in zip((T1, T2, w), meshgrid_lag_weights(window, M, N)):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+def triangle(A):
+    """The representatives (a, b), a >= b >= 0, of the orbits with a < A, in
+    (a, b) order, and the multiplicity of each: its images at each lag."""
+    a, b = np.array([(a, b) for a in range(A) for b in range(a + 1)], np.int64).reshape(-1, 2).T
+    return a, b, np.where(a == 0, 6, np.where((b == 0) | (a == b), 2, 1))
 
-    def test_peak_memory_near_what_is_kept(self):
-        window = dataclasses.replace(optimal_window())
-        spectra._lag_plan(window, 1.0, 30)  # imports, constants
-        tracemalloc.start()
-        try:
-            (T1, T2), w, _ = spectra._lag_plan(window, 1.0, 600)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert T1.size == 3 * 600 * 600 - 3 * 600 + 1
-        assert peak < 1.5 * sum(a.nbytes for a in (T1, T2, w))
+
+def plan_images(plan):
+    """The lags an order-3 plan sums, in lexicographic order, and the weight
+    of each: its weights spread to the six images of each orbit, with those
+    of the images that coincide summed."""
+    _, w, L, _ = plan
+    A = (math.isqrt(8 * w.shape[1] + 1) - 1) // 2
+    a, b, _ = triangle(A)
+    span = max(L, A - 1)
+    dense = np.zeros((2 * span + 1, 2 * span + 1))
+    for k, m in enumerate(SYMMETRY_MAPS):
+        t1, t2 = apply_symmetry(m, a, b)
+        np.add.at(dense, (t1 + span, t2 + span), w[k % w.shape[0]])
+    ax = np.arange(-span, span + 1)
+    T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+    keep = dense.ravel() != 0.0
+    return T1[keep], T2[keep], dense.ravel()[keep]
 
 
 def fading_window():
     """A window of unbounded support that is exactly 0 beyond radius 10, so
-    that its plans keep the whole box only at large M."""
+    that its plans keep the whole box only at large M; x^2 + y^2 is not
+    invariant under the cumulant symmetries, so it is not declared symmetric."""
     return LagWindow(name="fading", order=3, support_radius=None,
                      fn=lambda x, y: np.maximum(
                          1.0 - (np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2) / 100,
                          0.0))
 
 
-class TestPlanSharing:
-    def test_untruncated_plans_share_one_lag_set_per_n(self):
-        window = dataclasses.replace(optimal_window())
-        (A1, A2), wa, _ = spectra._lag_plan(window, 2.0, 50)
-        (B1, B2), wb, _ = spectra._lag_plan(window, 3.0, 50)
-        assert A1 is B1 and A2 is B2 and wa is not wb
-        (C1, C2), _, _ = spectra._lag_plan(window, 2.0, 51)
-        assert C1 is not A1 and C2 is not A2
-        assert (A1.size, C1.size) == (3 * 50 * 50 - 3 * 50 + 1, 3 * 51 * 51 - 3 * 51 + 1)
-        # a plan read from the shared lags equals one built cold
-        for a, b in zip((B1, B2, wb), meshgrid_lag_weights(window, 3.0, 50)):
-            np.testing.assert_array_equal(a, b)
+# an asymmetric base for `symmetrize`, supported on |x| <= 1/2, |y| <= 1/4
+SKEW_TENT = LagWindow(
+    name="skew-tent", order=3, support_radius=0.5,
+    fn=lambda x, y: np.maximum(1.0 - 2.0 * np.abs(np.asarray(x, float))
+                               - 4.0 * np.abs(np.asarray(y, float)), 0.0))
 
+
+@pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
+class TestLagWeightBlocks:
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    @pytest.mark.parametrize("window,M,N", [(optimal_window(), 1.0, 40),
+                                            (optimal_window(), 1.0, 121),
+                                            (optimal_window(), 2.5, 121),
+                                            (flat_top_rpf(0.51), 5.0, 121),
+                                            (flat_top_rpf(0.51), 30.0, 40),
+                                            (SKEW_TENT, 30.0, 80),
+                                            (fading_window(), 2.0, 40)])
+    def test_match_meshgrid(self, monkeypatch, block, window, M, N):
+        # a copy of the window has an empty memo, so its plan is built here;
+        # its weights are the window's fn at each orbit's representative, or
+        # at each of its images, over the orbit's multiplicity, whatever the
+        # block; spread to the images, they are the window on its box
+        window = dataclasses.replace(window)
+        monkeypatch.setattr(spectra, "_INDEX_BLOCK", block)
+        plan = spectra._lag_plan(window, M, N)
+        lags, w, L, n_lags = plan
+        assert lags is None and L == lag_cap(window, M, N)
+        A = L + 1 if window.symmetric else min(2 * L + 1, N)
+        a, b, multiplicity = triangle(A)
+        images = ([(a, b)] if window.symmetric
+                  else [apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])
+        assert w.shape == (len(images), a.size)
+        for row, (t1, t2) in zip(w, images):
+            box = (np.abs(t1) <= L) & (np.abs(t2) <= L)
+            want = np.where(box, np.asarray(window.fn(t1 / M, t2 / M), float), 0.0)
+            np.testing.assert_array_equal(row, want / multiplicity)
+        T1, T2, weights = plan_images(plan)
+        U1, U2, u = meshgrid_lag_weights(window, M, N)
+        np.testing.assert_array_equal(T1, U1)
+        np.testing.assert_array_equal(T2, U2)
+        np.testing.assert_allclose(weights, u, rtol=1e-14, atol=1e-16)
+        assert n_lags == U1.size
+
+    def test_peak_memory_near_what_is_kept(self):
+        # the weights are evaluated a block of orbits at a time; at N = 1200
+        # the blocks' temporaries (with a J2 workspace) are below half the
+        # 8 bytes per orbit that are kept
+        window = dataclasses.replace(optimal_window())
+        spectra._lag_plan(window, 1.0, 30)  # imports, constants
+        tracemalloc.start()
+        try:
+            _, w, _, n_lags = spectra._lag_plan(window, 1.0, 1200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_lags == 3 * 1200 * 1200 - 3 * 1200 + 1
+        assert w.shape == (1, 1200 * 1201 // 2)
+        assert peak < 1.5 * w.nbytes
+
+    def test_untruncated_plan_holds_8_bytes_per_orbit(self):
+        N = 600
+        plan = dataclasses.replace(optimal_window())
+        plan = spectra._lag_plan(plan, 5.0, N)
+        held = sum(x.nbytes for x in plan if isinstance(x, np.ndarray))
+        assert plan[3] == 3 * N * N - 3 * N + 1
+        assert held <= 8 * N * (N + 1) // 2 + 64 * N
+
+
+class TestPlanSharing:
+    def test_untruncated_plans_hold_only_their_weights(self):
+        # each plan of the untruncated window at N holds only its weights on
+        # the triangle of N(N + 1)/2 orbits: no lags, of its own or shared
+        window = dataclasses.replace(optimal_window())
+        A, B = (spectra._lag_plan(window, M, 50) for M in (2.0, 3.0))
+        C = spectra._lag_plan(window, 2.0, 51)
+        for plan, N in ((A, 50), (B, 50), (C, 51)):
+            assert plan[0] is None and plan[1].shape == (1, N * (N + 1) // 2)
+            assert plan[3] == 3 * N * N - 3 * N + 1
+        assert A[1] is not B[1]
+        assert set(window._memo) == {"plans"}
+        assert set(window._memo["plans"]) == {(2.0, 50), (3.0, 50), (2.0, 51)}
+        # a plan after others equals one built cold
+        cold = spectra._lag_plan(dataclasses.replace(window), 3.0, 50)
+        np.testing.assert_array_equal(B[1], cold[1])
+
+    @pytest.mark.filterwarnings("ignore:window fading")
     @pytest.mark.parametrize("window,Ms", [(flat_top_rpf(0.51), (300.0, 400.0)),
                                            (optimal_window(10.0), (40.0, 50.0)),
                                            (fading_window(), (0.5, 1.0))],
@@ -444,20 +514,59 @@ class TestPlanSharing:
         # L = N - 1 at both M, so only the window's support tells them apart
         window = dataclasses.replace(window)
         plans = [spectra._lag_plan(window, M, 300) for M in Ms]
-        assert [L for _, _, L in plans] == [299, 299]
-        (A1, A2), _, _ = plans[0]
-        (B1, B2), _, _ = plans[1]
-        assert A1 is not B1 and A2 is not B2
-        assert ("box", 300) not in window._memo
+        assert [L for _, _, L, _ in plans] == [299, 299]
+        assert plans[0][1] is not plans[1][1]
+        for M, plan in zip(Ms, plans):
+            want = meshgrid_lag_weights(window, M, 300)
+            assert plan[3] == want[0].size
+            for got, lag_want in zip(plan_images(plan)[:2], want[:2]):
+                np.testing.assert_array_equal(got, lag_want)
 
-    def test_plan_with_zeros_after_a_shared_one(self):
+    @pytest.mark.filterwarnings("ignore:window fading")
+    def test_plan_with_zeros_after_a_whole_one(self):
         window = fading_window()
-        (A1, _), _, _ = spectra._lag_plan(window, 100.0, 20)
-        (B1, B2), wb, _ = spectra._lag_plan(window, 1.0, 20)
-        (C1, _), _, _ = spectra._lag_plan(window, 200.0, 20)
-        assert A1 is C1 and B1.size < A1.size
-        for a, b in zip((B1, B2, wb), meshgrid_lag_weights(window, 1.0, 20)):
-            np.testing.assert_array_equal(a, b)
+        A = spectra._lag_plan(window, 100.0, 20)
+        B = spectra._lag_plan(window, 1.0, 20)
+        C = spectra._lag_plan(window, 200.0, 20)
+        assert A[3] == C[3] == 3 * 20 * 20 - 3 * 20 + 1 and B[3] < A[3]
+        got, want = plan_images(B), meshgrid_lag_weights(window, 1.0, 20)
+        for lags, lags_want in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(lags, lags_want)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-14, atol=1e-16)
+
+
+class TestPlanMemo:
+    def test_sweep_keeps_at_most_8_plans(self):
+        window = dataclasses.replace(optimal_window())
+        for M in np.linspace(1.0, 40.0, 40):
+            spectra._lag_plan(window, M, 300)
+        plans = window._memo["plans"]
+        assert len(plans) == spectra._PLAN_MEMO == 8
+        assert list(plans) == [(float(M), 300) for M in np.linspace(1.0, 40.0, 40)[-8:]]
+
+    def test_least_recently_used_plan_is_dropped(self):
+        window = dataclasses.replace(flat_top_rpf(0.51))
+        for M in range(1, 9):
+            spectra._lag_plan(window, float(M), 100)
+        first = spectra._lag_plan(window, 1.0, 100)  # used again, so kept
+        spectra._lag_plan(window, 9.0, 100)
+        assert (2.0, 100) not in window._memo["plans"]
+        assert spectra._lag_plan(window, 1.0, 100) is first
+
+    def test_rebuilt_plan_gives_bit_identical_estimates(self):
+        s = TimeSeries(np.random.default_rng(2).standard_normal(300) ** 2)
+        window = dataclasses.replace(optimal_window())
+        cache = BispectrumLagCache(s)
+        first = [estimate_bispectrum(s, window, 3.0, om, cache=cache).value
+                 for om in FREQUENCIES]
+        dropped = spectra._lag_plan(window, 3.0, 300)[1]
+        for M in np.linspace(4.0, 12.0, 8):
+            estimate_bispectrum(s, window, M, (0.3, 0.2), cache=cache)
+        rebuilt = spectra._lag_plan(window, 3.0, 300)[1]
+        assert rebuilt is not dropped
+        np.testing.assert_array_equal(rebuilt, dropped)
+        assert [estimate_bispectrum(s, window, 3.0, om).value
+                for om in FREQUENCIES] == first
 
 
 class TestSpectrum:
@@ -710,27 +819,22 @@ def direct_l2_norm(window, radius, n=2001):
     return math.sqrt(np.trapezoid(np.trapezoid(sq, ax, axis=1), ax))
 
 
-# an asymmetric base for `symmetrize`, supported on |x| <= 1/2, |y| <= 1/4
-SKEW_TENT = LagWindow(
-    name="skew-tent", order=3, support_radius=0.5, symmetric=False,
-    fn=lambda x, y: np.maximum(1.0 - 2.0 * np.abs(np.asarray(x, float))
-                               - 4.0 * np.abs(np.asarray(y, float)), 0.0))
-
-
 def estimate_with_cached_weights(series, w, M, omega):
     """Estimate, then check that the weights it used, read back from the
-    window's plan, are the window's own `fn` on its support box, where a
-    sample cumulant can be nonzero."""
+    window's plan and spread to the images of each orbit, are the window's
+    own `fn` on its support box, where a sample cumulant can be nonzero."""
     est = estimate_bispectrum(series, w, M, omega)
-    (T1, T2), weights, L = spectra._lag_plan(w, M, series.n)
-    assert L == est.lag_cap
-    ax = np.arange(-L, L + 1)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    direct = np.asarray(w.fn(X / M, Y / M), float)
-    keep = (direct != 0.0) & (np.abs(X - Y) < series.n)
-    np.testing.assert_array_equal(T1, X[keep])
-    np.testing.assert_array_equal(T2, Y[keep])
-    np.testing.assert_array_equal(weights, direct[keep])
+    plan = spectra._lag_plan(w, M, series.n)
+    assert plan[2] == est.lag_cap
+    # at the representative, a lift's weight may be 0 where it is 1e-16 at
+    # the other images, or the reverse, so the weights are compared on the
+    # whole box
+    dense = []
+    for T1, T2, weights in (plan_images(plan), meshgrid_lag_weights(w, M, series.n)):
+        D = np.zeros((2 * series.n - 1, 2 * series.n - 1))
+        D[T1 + series.n - 1, T2 + series.n - 1] = weights
+        dense.append(D)
+    np.testing.assert_allclose(*dense, rtol=1e-14, atol=1e-15)
     return est
 
 
@@ -779,11 +883,13 @@ class TestCombinerCacheKeys:
     def test_windows_alike_but_in_fn_keep_their_own(self, series, first):
         # two custom windows with one name, order and params, whose kernels
         # differ: each gets its own estimate and L2 norm, whichever is first
+        # (neither is declared symmetric, so each warns and sums six images)
         pair = [LagWindow(name="custom", order=3, fn=fn, support_radius=2 / math.sqrt(3))
                 for fn in (lambda_rp, lambda_rc)]
         M, omega = 3.0, (0.7, -1.3)
         for w in pair[first:] + pair[:first]:
-            est = estimate_bispectrum(series, w, M, omega)
+            with pytest.warns(UserWarning, match="custom is not declared symmetric"):
+                est = estimate_bispectrum(series, w, M, omega)
             assert est.value == pytest.approx(naive_bispectrum(series, w, M, omega),
                                               abs=1e-12)
             assert window_l2_norm(w) == pytest.approx(
@@ -801,6 +907,37 @@ def per_lag_sum(lags, terms, omega):
 FREQUENCIES = [(0.0, 0.0), (2.0, 1.0), (-2.9, 0.7), (3.1, -3.1), (0.3 + TWO_PI, 1.2)]
 
 
+def check_against_per_lag_sums(s, window, M, omega):
+    """Every order-3 estimator of `window` at (M, omega) equals the sum over
+    the lags of its support box one at a time, within rounding, and
+    `n_lags` counts the lags summed: at a symmetric window, those whose
+    orbit's representative has a nonzero weight."""
+    T1, T2, w = meshgrid_lag_weights(window, M, s.n)
+    terms = w * BispectrumLagCache(s).cumulants(T1, T2)
+    est = estimate_bispectrum(s, window, M, omega)
+    cases = [(est.value, terms),
+             (bispectrum_curvature(s, window, M, omega),
+              -(T1 * T1 - T1 * T2 + T2 * T2) * terms)]
+    for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        cases.append((estimate_bispectrum_partial(s, window, M, omega, i, j),
+                      -(T1, T2)[i - 1] * (T1, T2)[j - 1] * terms))
+    for got, case_terms in cases:
+        want, tol = per_lag_sum((T1, T2), case_terms, omega)
+        assert abs(got - want) <= tol, (omega, got, want)
+    if window.symmetric:
+        L = lag_cap(window, M, s.n)
+        ax = np.arange(-L, L + 1)
+        U1, U2 = (U.ravel() for U in np.meshgrid(ax, ax, indexing="ij"))
+        lo = np.minimum(np.minimum(U1, U2), 0)
+        hi = np.maximum(np.maximum(U1, U2), 0)
+        a, b = hi - lo, U1 + U2 - hi - lo - lo
+        inside = a < s.n
+        summed = np.count_nonzero(np.asarray(window.fn(a[inside] / M, b[inside] / M)))
+    else:
+        summed = T1.size
+    assert est.n_lags == summed
+
+
 class TestFrequencySumOracle:
     """Each estimator equals the per-lag sum within rounding, on the lags and
     terms of its plan."""
@@ -813,24 +950,28 @@ class TestFrequencySumOracle:
                              ids=["opt-300", "opt-61", "rcf", "skew-tent"])
     def test_bispectrum_estimators(self, window, M, N):
         s = TimeSeries(np.random.default_rng(N).standard_normal(N) ** 2)
-        (T1, T2), w, C, _ = spectra._lag_terms(s, window, M, 3)
-        terms = w * C
         for omega in FREQUENCIES:
-            cases = [(estimate_bispectrum(s, window, M, omega).value, terms),
-                     (bispectrum_curvature(s, window, M, omega),
-                      -(T1 * T1 - T1 * T2 + T2 * T2) * terms)]
-            for i, j in [(1, 1), (1, 2), (2, 2)]:
-                cases.append((estimate_bispectrum_partial(s, window, M, omega, i, j),
-                              -(T1, T2)[i - 1] * (T1, T2)[j - 1] * terms))
-            for got, case_terms in cases:
-                want, tol = per_lag_sum((T1, T2), case_terms, omega)
-                assert abs(got - want) <= tol, (omega, got, want)
+            check_against_per_lag_sums(s, window, M, omega)
+
+    @pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(["opt", "rpf", "rcf", "skew-tent", "fading"]),
+           st.integers(1, 80), st.floats(0.3, 30.0), st.integers(0, 2 ** 32 - 1),
+           st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)))
+    def test_bispectrum_estimators_on_any_series(self, name, N, M, seed, omega):
+        # omega up to about 4 pi in each coordinate, so that it and w1 + w2
+        # wrap; symmetric windows and windows summed over all six images
+        window = {"opt": optimal_window(), "rpf": flat_top_rpf(0.51),
+                  "rcf": flat_top_rcf(0.51), "skew-tent": SKEW_TENT,
+                  "fading": fading_window()}[name]
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
+        check_against_per_lag_sums(s, window, M, omega)
 
     @pytest.mark.parametrize("window,M", [(trapezoid_window(0.51), 7.0),
                                           (parzen_window(), 40.0)])
     def test_spectrum(self, window, M):
         s = TimeSeries(np.random.default_rng(1).standard_normal(300))
-        (T,), w, C, _ = spectra._lag_terms(s, window, M, 2)
+        (T, w, _, _), C = spectra._lag_terms(s, window, M, 2)
         for omega in [0.0, 1.0, -2.9, 3.1 + TWO_PI]:
             est = estimate_spectrum(s, window, M, omega, truncate=False)
             want, tol = per_lag_sum((T,), w * C, (omega,))

@@ -269,6 +269,29 @@ class TestPilots:
                 assert w(*image(x, y)) == pytest.approx(v, abs=1e-13)
 
 
+class TestSymmetricFlag:
+    """`symmetric` is a promise an order-3 plan relies on: a window declares
+    it only if its kernel is invariant under the six maps."""
+
+    def test_hand_built_window_does_not_declare_it(self):
+        assert not LagWindow(name="custom", order=3, fn=lambda_rp).symmetric
+
+    @pytest.mark.parametrize("window", [
+        flat_top_rpf(), flat_top_rcf(0.3), optimal_window(), optimal_window(10.0),
+        parzen_window_2d(), symmetrize_even_1d(trapezoid_window()),
+        symmetrize_even_1d(trapezoid_window(), "mean"),
+        symmetrize(LagWindow(name="skew", order=3, support_radius=1.0,
+                             fn=lambda x, y: np.maximum(1 - np.abs(x) - 2 * np.abs(y), 0)))],
+        ids=lambda w: w.name)
+    def test_package_windows_declare_it_and_keep_it(self, window):
+        assert window.symmetric
+        x, y = np.random.default_rng(8).uniform(-1.5, 1.5, size=(2, 400))
+        want = np.asarray(window.fn(x, y), float)
+        for m in SYMMETRY_MAPS[1:]:
+            got = np.asarray(window.fn(*apply_symmetry(m, x, y)), float)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 class TestSymmetrize:
     def test_symmetry_group_closed(self):
         mats = set(SYMMETRY_MAPS)
