@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, normalized_cumulant
+from .cumulants import TimeSeries, _rho_scale, normalized_cumulant
 from .exceptions import DegenerateSeriesError
 from .spectra import (
     BispectrumLagCache,
@@ -277,8 +277,9 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     replicate standard deviation — an approximate 95% simultaneous bound.
     `tau0` is one lag (an int or a tuple of ints) or a list of lag tuples,
     reduced from one set of resamples to a list of (sigma_hat, k), each what
-    a call with that lag alone returns.  A replicate with zero variance or a
-    non-finite rho raises `DegenerateSeriesError`.
+    a call with that lag alone returns.  A replicate with zero variance, a
+    non-finite rho or a scale C(0)^(s/2) that overflows raises
+    `DegenerateSeriesError`.
     """
     many = isinstance(tau0, (list, tuple)) and any(np.ndim(t) for t in tau0)
     lags = [tuple(int(t) for t in np.atleast_1d(u)) for u in (tau0 if many else [tau0])]
@@ -305,15 +306,15 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     starts = rng.integers(0, N, size=(B, n_blocks))
     blocks = sliding_window_view(np.concatenate([x, x[:block_length - 1]]),
                                  block_length)
-    rhos = np.empty((len(lags), B))
+    rhos, variances = np.empty((len(lags), B)), np.empty(B)
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * N))
-    # an overflow or underflow shows as a non-finite rho, checked below
+    # an overflow or underflow shows as a non-finite rho or var^(s/2), checked below
     with np.errstate(all="ignore"):
         for i in range(0, B, rows):
             chunk = starts[i:i + rows]
             xb = blocks[chunk].reshape(len(chunk), -1)[:, :N]
             y = xb - xb.mean(axis=1, keepdims=True)
-            var = (y * y).sum(axis=1) / N
+            var = variances[i:i + rows] = (y * y).sum(axis=1) / N
             if np.any(var <= 0.0):
                 raise DegenerateSeriesError("bootstrap replicate with zero variance")
             for rho, taus in zip(rhos, lags):
@@ -322,8 +323,10 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
                 for t in taus:
                     prod *= y[:, t:t + n_terms]
                 rho[i:i + rows] = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
-    if not np.isfinite(rhos).all():
-        raise DegenerateSeriesError("bootstrap replicate with a non-finite rho")
+        if not np.isfinite(rhos).all():
+            raise DegenerateSeriesError("bootstrap replicate with a non-finite rho")
+        for taus in lags:
+            _rho_scale(variances.max() ** ((len(taus) + 1) / 2.0))
     sigmas = [math.sqrt(N) * float(np.std(rho, ddof=1)) for rho in rhos]
     return [(s, 2.0 * s) for s in sigmas] if many else (sigmas[0], 2.0 * sigmas[0])
 
@@ -412,23 +415,21 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     cap = N / 4.0 if cap is None else cap
     spec_win, M2, bisp_win, M3 = pilots
     (spec_lags, spec_w, _, _), spec_C = _lag_terms(series, spec_win, M2, 2)
-    spec_terms = spec_w * spec_C
-    (_, w, _, _), C = _lag_terms(series, bisp_win, M3, 3)
-    curvature_terms = _curvature_terms(w, C)
+    (_, bisp_w, _, _), C = _lag_terms(series, bisp_win, M3, 3)
     lam_norm = window_l2_norm(window)
     lam_d2 = window_curvature_at_zero(window)
-
-    def spectrum(omega):
-        # as `estimate_spectrum`, a negative estimate is clamped to 0
-        value = _frequency_sum(spec_terms, (omega,), spec_lags)[0].real
-        return 0.0 if value < 0.0 else value
-
+    pairs = np.asarray(omegas, float).tolist()
+    # the pilot spectrum at w1, w2 and w1 + w2 of each pair, a negative
+    # estimate clamped to 0 as `estimate_spectrum` does
+    points = [(w,) for w1, w2 in pairs for w in (w1, w2, w1 + w2)]
+    f = [0.0 if s.real < 0.0 else s.real
+         for s, _ in _frequency_sum(spec_w * spec_C, points, spec_lags)]
+    curvatures = _frequency_sum(_curvature_terms(bisp_w, C), pairs)
     selections = []
-    for w1, w2 in np.asarray(omegas, float).tolist():
-        product = spectrum(w1) * spectrum(w2) * spectrum(w1 + w2)
+    for i, ((w1, w2), (curv, _)) in enumerate(zip(pairs, curvatures)):
+        product = f[3 * i] * f[3 * i + 1] * f[3 * i + 2]
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")
-        curv = _frequency_sum(curvature_terms, (w1, w2))[0]
         M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
         selections.append(BandwidthSelection(
             M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",

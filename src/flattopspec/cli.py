@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 input error, 3 degenerate data, 4 missing oracle table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from .cumulants import TimeSeries
 from .evaluate import build_reference_table, composite_grid, run_mse_study
 from .exceptions import DegenerateSeriesError, MissingReferenceError
 from .models import MODEL_KINDS, ModelSpec, ReferenceTable, generate
-from .spectra import BispectrumLagCache, estimate_bispectrum, estimate_spectrum
+from .spectra import estimate_bispectrum, estimate_spectrum
 from .windows import flat_top_rpf, parse_window, trapezoid_window
 
 EXIT_OK = 0
@@ -72,10 +73,6 @@ def _load_series(path) -> TimeSeries:
     return TimeSeries(data)  # raises on NaN/inf and on more than one column
 
 
-def _model_spec(args) -> ModelSpec:
-    return ModelSpec(kind=args.model, seed=args.seed)
-
-
 def _write_sidecar(output, args, selection=None):
     # the parsed arguments minus the handler, whose repr differs per process,
     # and the outcome of an automatic bandwidth selection
@@ -96,7 +93,7 @@ def cmd_estimate(args) -> int:
     if args.input is not None:
         series = _load_series(args.input)
     else:
-        series = generate(_model_spec(args), args.N)
+        series = generate(ModelSpec(kind=args.model, seed=args.seed), args.N)
 
     order = args.order
     if args.window:
@@ -112,28 +109,19 @@ def cmd_estimate(args) -> int:
 
     sel = None
     if args.bandwidth == "auto":
-        if order == 2:
-            sel = select_bandwidth_general(series, order=2,
-                                           b=window.params.get("c", 0.51))
-        else:
-            sel = select_bandwidth_bispectrum(series,
-                                              b=window.params.get("c", 0.51))
+        c = window.params.get("c", 0.51)
+        sel = (select_bandwidth_general(series, order=2, b=c) if order == 2
+               else select_bandwidth_bispectrum(series, b=c))
         M = max(sel.M_hat, 1.0)
     else:
         M = float(args.bandwidth)
         if M <= 0:
             raise ValueError("bandwidth must be positive")
 
-    cache = BispectrumLagCache(series) if order == 3 else None
-    rows = []
-    for pt in points:
-        if order == 2:
-            est = estimate_spectrum(series, window, M, pt)
-            rows.append([est.omega[0], est.value, 0.0, M, window.name, series.n])
-        else:
-            est = estimate_bispectrum(series, window, M, pt, cache=cache)
-            rows.append([est.omega[0], est.omega[1], est.value.real,
-                         est.value.imag, M, window.name, series.n])
+    # the order-2 value is a float, whose imag is 0.0
+    estimate = estimate_spectrum if order == 2 else estimate_bispectrum
+    rows = [[*est.omega, est.value.real, est.value.imag, M, window.name, series.n]
+            for est in estimate(series, window, M, points)]
 
     header = ("omega1,re,im,M,window,N" if order == 2
               else "omega1,omega2,re,im,M,window,N")
@@ -147,14 +135,6 @@ def cmd_estimate(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _load_tables(paths) -> dict:
-    tables = {}
-    for path in paths or ():
-        table = ReferenceTable.load(path)
-        tables[table.model] = table
-    return tables
 
 
 def cmd_study(args) -> int:
@@ -172,7 +152,8 @@ def cmd_study(args) -> int:
         bandwidths = "auto"
     else:
         bandwidths = [float(b) for b in args.bandwidth.split(",")]
-    tables = _load_tables(args.oracle_table)
+    # one table per model, the last given for it
+    tables = {t.model: t for t in map(ReferenceTable.load, args.oracle_table or ())}
 
     report = run_mse_study(models, windows, bandwidths=bandwidths,
                            N_list=N_list, R=args.R, grid_n=args.grid_n,
@@ -201,7 +182,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process; parsing leaves it as it
+    is, and an appended option starts from a copy of its default."""
     parser = argparse.ArgumentParser(
         prog="flattopspec",
         description="Spectrum/bispectrum estimation with flat-top lag-windows")

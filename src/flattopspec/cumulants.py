@@ -148,8 +148,15 @@ def normalized_cumulant(series: TimeSeries, lags) -> float:
     if s not in (2, 3):
         raise OrderError(f"normalized cumulant supports orders 2-3, got {s}")
     var = central_moment_estimate(series, (0,))
-    if var <= 0.0:
-        raise DegenerateSeriesError("series has zero variance")
     # (var * var) * var, not var ** 3, which can differ in the last bit
     denom = var * var if s == 2 else (var * var) * var
-    return central_moment_estimate(series, taus) / math.sqrt(denom)
+    return central_moment_estimate(series, taus) / _rho_scale(math.sqrt(denom))
+
+
+def _rho_scale(scale: float) -> float:
+    """`scale`, the C(0)^(s/2) that normalizes order-s cumulants, unless it is 0
+    or not finite: zero variance, or a power of C(0) that over- or underflows."""
+    if not 0.0 < scale < math.inf:
+        raise DegenerateSeriesError(f"C(0)^(s/2) is {float(scale)!r}: zero variance or "
+                                    "a scale that over- or underflows")
+    return scale

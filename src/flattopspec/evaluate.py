@@ -34,7 +34,7 @@ from .models import (
     reference_bispectrum,
     true_spectrum,
 )
-from .spectra import BispectrumLagCache, estimate_bispectrum, estimate_spectrum
+from .spectra import estimate_bispectrum, estimate_spectrum
 from .windows import LagWindow, flat_top_rpf, optimal_window, trapezoid_window
 
 __all__ = [
@@ -183,9 +183,7 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
         table = tables.get(spec.kind)
         truth = truth_override or (
             lambda w, _s=spec, _t=table: reference_bispectrum(_s, w, _t))
-        f_origin = truth((0.0, 0.0))
-        f_21 = truth(_POINT_21)
-        f_grid = np.array([truth(w) for w in grid.points])
+        f_origin, f_21, *f_grid = [truth(w) for w in eval_points]
         denom = np.array([
             true_spectrum(spec, w1, table) * true_spectrum(spec, w2, table)
             * true_spectrum(spec, w1 + w2, table)
@@ -214,12 +212,8 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                             at_cap += cap_hit
                         else:
                             M = float(bw)
-                        cache = BispectrumLagCache(series)
-                        est = [estimate_bispectrum(series, window, M, w,
-                                                   cache=cache).value
-                               for w in eval_points]
-                        e_origin, e_21 = est[0], est[1]
-                        e_grid = np.asarray(est[2:])
+                        e_origin, e_21, *e_grid = [e.value for e in estimate_bispectrum(
+                            series, window, M, eval_points)]
                         origin_abs[rep] = abs(e_origin)
                         losses["abs@origin"][rep] = abs(abs(e_origin) - abs(f_origin))
                         losses["re@(2,1)"][rep] = abs(e_21.real - f_21.real)
@@ -357,8 +351,8 @@ def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
     estimates over R long realizations.
 
     Replication ids start at a large offset so oracle draws never collide
-    with study replications under the same seed.  The bispectrum estimates
-    of one realization share one lag cache.
+    with study replications under the same seed.  The estimates of one
+    realization at each order are one call, so one pass over its lags.
     """
     if R < 1 or L_sim < 16:
         raise ValueError("need R >= 1 and a nontrivial simulation length")
@@ -370,14 +364,11 @@ def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
         series = generate(spec, L_sim, replication=replication_offset + rep)
         if freqs2:
             M2 = select_bandwidth_general(series, order=2, b=c).M_hat
-            for w in freqs2:
-                est = estimate_spectrum(series, spec_win, M2, w)
+            for w, est in zip(freqs2, estimate_spectrum(series, spec_win, M2, freqs2)):
                 f2_acc[_freq_key(w)] += est.value
         if freqs3:
             M3 = max(select_bandwidth_bispectrum(series, b=c).M_hat, 1.0)
-            cache = BispectrumLagCache(series)
-            for w in freqs3:
-                est = estimate_bispectrum(series, bisp_win, M3, w, cache=cache)
+            for w, est in zip(freqs3, estimate_bispectrum(series, bisp_win, M3, freqs3)):
                 f3_acc[(_freq_key(w[0]), _freq_key(w[1]))] += est.value
     return ReferenceTable(
         model=spec.kind,

@@ -3,6 +3,7 @@
 Every estimate is one exact frequency sum over the lags of the window's plan
 at (M, N), the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
+An estimator reads its lag terms once for all the frequencies it is given.
 A third-order sample cumulant is computed once per orbit of the six cumulant
 symmetries into one store, a packed triangle indexed by the representative
 (a, b), a >= b >= 0; order-3 plans are laid out on it, and both selection
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries
-from .exceptions import DegenerateSeriesError
+from .cumulants import TimeSeries, _rho_scale
 from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry, evaluate_blockwise
 
 __all__ = [
@@ -144,9 +144,7 @@ class BispectrumLagCache:
     def rho_denominator(self) -> float:
         """C(0)^(3/2), the scale of the normalized third-order cumulant."""
         var = float(np.dot(self._y, self._y) / self.series.n)
-        if var <= 0.0:
-            raise DegenerateSeriesError("series has zero variance")
-        return math.sqrt((var * var) * var)
+        return _rho_scale(math.sqrt((var * var) * var))
 
     def _rows(self, size: int) -> np.ndarray:
         """The table, grown by rows, if need be, to hold index size - 1."""
@@ -281,10 +279,10 @@ def _orbit_weights(window, M, N, L):
     return w, L, n_lags
 
 
-def _lag_terms(series, window, M, order, cache=None):
+def _lag_terms(series, window, M, order):
     """The plan of an order-`order` window at (M, N) and the sample cumulants
-    at its lags, or at order 3 on its triangle, from `cache` (a fresh one
-    when none is passed): every factor of an estimate free of frequency."""
+    at its lags, or at order 3 on its triangle, from a fresh store: every
+    factor of an estimate free of frequency."""
     if M <= 0:
         raise ValueError("bandwidth M must be positive")
     if window.order != order:
@@ -295,8 +293,8 @@ def _lag_terms(series, window, M, order, cache=None):
     if not window.symmetric:
         warnings.warn(f"window {window.name} is not declared symmetric under the "
                       "cumulant symmetries", stacklevel=3)
-    cache = BispectrumLagCache(series) if cache is None else cache
-    return plan, cache.triangle((math.isqrt(8 * plan[1].shape[1] + 1) - 1) // 2)
+    A = (math.isqrt(8 * plan[1].shape[1] + 1) - 1) // 2
+    return plan, BispectrumLagCache(series).triangle(A)
 
 
 # the image m(a, b) of an orbit under the k-th of `SYMMETRY_MAPS` has the
@@ -305,10 +303,17 @@ _IMAGE_X = [0, 1, 2, 2, 0, 1]
 _IMAGE_Y = [1, 0, 1, 0, 2, 2]
 
 
-def _frequency_sum(terms, omega, lags=None):
-    """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1),
-    with each coordinate of omega reduced by `canonical_frequency`; returns
-    the sum and the reduced omega.
+def _frequencies(omega, order):
+    """Whether `omega` is one frequency, not a sequence, and its frequencies as tuples."""
+    one = np.ndim(omega) == order - 2 and np.size(omega) > 0
+    return one, [(w,) if order == 2 else tuple(w) for w in ([omega] if one else omega)]
+
+
+def _frequency_sum(terms, omegas, lags=None):
+    """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1)
+    at each frequency omega of `omegas`, a list of tuples, with each
+    coordinate reduced by `canonical_frequency`: a list of (sum, reduced
+    omega).
 
     At order 2 the terms are real, at `lags`: one dot product with each of
     cos and sin of tau w.  At order 3 they lie as an order-3 plan's weights.
@@ -317,60 +322,70 @@ def _frequency_sum(terms, omega, lags=None):
     dense lower triangle D, it adds G = E_x D E_y^T, whose sum gives the real
     part G00 - G11 and the imaginary part -(G10 + G01): the indirect method's
     E1 (W o C) E2^T on its principal triangle.  One row of terms serves the
-    two images with each x at once, as E_x D (E_y + E_y')^T."""
-    omega = tuple(canonical_frequency(w) for w in omega)
+    two images with each x at once, as E_x D (E_y + E_y')^T.  Each D serves
+    every frequency, with the products of a call at that frequency alone."""
+    omegas = [tuple(canonical_frequency(w) for w in omega) for omega in omegas]
     if lags is not None:
-        arg = lags * omega[0]
-        return complex(terms @ np.cos(arg), -(terms @ np.sin(arg))) / _TWO_PI, omega
+        return [(complex(terms @ np.cos(lags * w), -(terms @ np.sin(lags * w))) / _TWO_PI,
+                 (w,)) for (w,) in omegas]
     K, size = terms.shape
     A = (math.isqrt(8 * size + 1) - 1) // 2
     a = np.arange(A)
-    ang = np.multiply.outer((omega[0], omega[1], -omega[0] - omega[1]), a)
-    E = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (angle, cos or sin, a)
-    X, Y = (E, E.sum(axis=0) - E) if K == 1 else (E[_IMAGE_X], E[_IMAGE_Y])
+    XY = []
+    for w1, w2 in omegas:
+        ang = np.multiply.outer((w1, w2, -w1 - w2), a)
+        E = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (angle, cos or sin, a)
+        XY.append((E, E.sum(axis=0) - E) if K == 1 else (E[_IMAGE_X], E[_IMAGE_Y]))
     step = max(1, _LAG_BLOCK // A)
-    G = np.zeros((2, 2))
+    G = np.zeros((len(omegas), 2, 2))
     for r0 in range(0, A, step):
         r1 = min(r0 + step, A)
         D = np.zeros((K, r1 - r0, r1))
         lower = np.greater_equal.outer(a[r0:r1], a[:r1])
         for block, part in zip(D, terms[:, r0 * (r0 + 1) // 2:r1 * (r1 + 1) // 2]):
             block[lower] = part
-        G += (X[:, :, r0:r1] @ D @ Y[:, :, :r1].transpose(0, 2, 1)).sum(axis=0)
-    return complex(G[0, 0] - G[1, 1], -(G[1, 0] + G[0, 1])) / _TWO_PI ** 2, omega
+        for g, (X, Y) in zip(G, XY):
+            g += (X[:, :, r0:r1] @ D @ Y[:, :, :r1].transpose(0, 2, 1)).sum(axis=0)
+    return [(complex(g[0, 0] - g[1, 1], -(g[1, 0] + g[0, 1])) / _TWO_PI ** 2, omega)
+            for g, omega in zip(G, omegas)]
 
 
-def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega: float,
-                      truncate=True) -> SpectralEstimate:
-    """Second-order smoothed periodogram at a single frequency.
+def estimate_spectrum(series: TimeSeries, window: LagWindow, M: float, omega,
+                      truncate=True) -> SpectralEstimate | list:
+    """Second-order smoothed periodogram at one frequency, or a list of them,
+    one per frequency of a sequence `omega`, from one pass over the lags.
 
     Returns the real part; when truncation is enabled (default) a negative
     estimate is clamped to zero and flagged.
     """
+    one, points = _frequencies(omega, 2)
     (lags, w, L, n_lags), C = _lag_terms(series, window, M, 2)
-    val, omega_c = _frequency_sum(w * C, (omega,), lags)
-    flagged = bool(truncate) and val.real < 0.0
-    value = 0.0 if flagged else val.real
-    return SpectralEstimate(
-        value=value, omega=omega_c, M=float(M), window=window.name,
-        order=2, n=series.n, truncated_negative=flagged, lag_cap=L,
-        n_lags=n_lags, imag_discarded=val.imag,
-    )
+    estimates = []
+    for val, omega_c in _frequency_sum(w * C, points, lags):
+        flagged = bool(truncate) and val.real < 0.0
+        estimates.append(SpectralEstimate(
+            value=0.0 if flagged else val.real, omega=omega_c, M=float(M),
+            window=window.name, order=2, n=series.n, truncated_negative=flagged,
+            lag_cap=L, n_lags=n_lags, imag_discarded=val.imag))
+    return estimates[0] if one else estimates
 
 
-def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float, omega,
-                        cache=None) -> SpectralEstimate:
-    """Third-order smoothed periodogram at omega = (omega1, omega2)."""
-    (_, w, L, n_lags), C = _lag_terms(series, window, M, 3, cache)
-    val, omega_c = _frequency_sum(w * C, omega)
-    return SpectralEstimate(
-        value=val, omega=omega_c, M=float(M), window=window.name,
-        order=3, n=series.n, lag_cap=L, n_lags=n_lags,
-    )
+def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float,
+                        omega) -> SpectralEstimate | list:
+    """Third-order smoothed periodogram at omega = (omega1, omega2), or a
+    list of them, one per pair of a sequence `omega`, from one pass over the
+    lags."""
+    one, points = _frequencies(omega, 3)
+    (_, w, L, n_lags), C = _lag_terms(series, window, M, 3)
+    estimates = [SpectralEstimate(value=val, omega=omega_c, M=float(M),
+                                  window=window.name, order=3, n=series.n,
+                                  lag_cap=L, n_lags=n_lags)
+                 for val, omega_c in _frequency_sum(w * C, points)]
+    return estimates[0] if one else estimates
 
 
 def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float, omega,
-                                i: int, j: int, cache=None) -> complex:
+                                i: int, j: int) -> complex:
     """Second partial derivative d^2 fhat / d omega_i d omega_j.
 
     Differentiating exp(-i tau.omega) twice brings down (-i tau_i)(-i tau_j)
@@ -378,10 +393,10 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    (_, w, _, _), C = _lag_terms(series, window, M, 3, cache)
+    (_, w, _, _), C = _lag_terms(series, window, M, 3)
     a, b = _orbit_lags(np.arange(C.size))
     tau = np.array([apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])  # (6, 2, size)
-    return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, omega)[0]
+    return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega])[0][0]
 
 
 def _curvature_terms(w, C):
@@ -391,8 +406,8 @@ def _curvature_terms(w, C):
     return -(a * a - a * b + b * b) * w * C
 
 
-def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float, omega,
-                         cache=None) -> complex:
+def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
+                         omega) -> complex:
     """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
-    (_, w, _, _), C = _lag_terms(series, window, M, 3, cache)
-    return _frequency_sum(_curvature_terms(w, C), omega)[0]
+    (_, w, _, _), C = _lag_terms(series, window, M, 3)
+    return _frequency_sum(_curvature_terms(w, C), [omega])[0][0]

@@ -552,6 +552,19 @@ class TestBootstrap:
             with pytest.raises(DegenerateSeriesError, match="non-finite"):
                 bootstrap_threshold(TimeSeries(s.values * scale), tau0, seed=0)
 
+    @pytest.mark.parametrize("block_length", [50, 200])
+    def test_overflowing_scale_is_degenerate(self, block_length):
+        # one value of 2e154 among unit ones: a replicate that holds it once
+        # has C(0) = inf while the products of rho's numerator at lag 3 stay
+        # finite, so its rho read 0 and a finite k came back
+        x = np.random.default_rng(0).standard_normal(400)
+        x[200] = 2e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSeriesError, match=r"C\(0\)\^\(s/2\) is inf"):
+                bootstrap_threshold(TimeSeries(x), (3,), block_length=block_length,
+                                    B=100, seed=0)
+
 
 @st.composite
 def lag_list_cases(draw):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flattopspec import BispectrumLagCache, evaluate, spectra
+from flattopspec import ModelSpec, evaluate, generate, spectra
 from flattopspec.bandwidth import BandwidthSelection
 from flattopspec.cli import main, parse_freq
 
@@ -129,19 +129,35 @@ class TestEstimate:
         assert "rpf" in capsys.readouterr().out
 
     def test_bispectrum_points_share_one_lag_cache(self, monkeypatch, capsys):
-        # the caches the frequency sums read; the selection rule has its own
+        # one `_lag_terms` call per (series, window, M), so the three points
+        # read one store's cumulants once; the selection rule has its own store
         used = []
         lag_terms = spectra._lag_terms
 
-        def spy(series, window, M, order, cache=None):
-            used.append(cache)
-            return lag_terms(series, window, M, order, cache)
+        def spy(*args):
+            used.append(args)
+            return lag_terms(*args)
         monkeypatch.setattr(spectra, "_lag_terms", spy)
         assert main(["estimate", "--model", "iid-chisq1", "--N", "300", "--order", "3",
                      "--at", "0,0", "--at", "1,0.5", "--at", "2,1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert len(used) == 3 and isinstance(used[0], BispectrumLagCache)
-        assert all(c is used[0] for c in used)
+        assert len(used) == 1 and used[0][3] == 3
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("exponent", [-300, 300])
+    def test_extreme_scale_is_degenerate(self, tmp_path, capfd, order, exponent):
+        # C(0)^(s/2) under- or overflows: the selection rules used to raise
+        # ZeroDivisionError (order 2, 2^-300), stop at their cap (order 3,
+        # 2^-300) or select m = 1 silently (2^300)
+        series = generate(ModelSpec(kind="garch11", seed=0), 400)
+        path = tmp_path / "scaled.txt"
+        np.savetxt(path, np.ldexp(series.values, exponent))
+        code = main(["estimate", "--input", str(path), "--order", str(order),
+                     "--bandwidth", "auto", "--at", "0" if order == 2 else "0,0"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: degenerate data")
+        assert "Traceback" not in err
 
     def test_requires_exactly_one_source(self, chisq_file, capsys):
         assert main(["estimate", "--at", "0,0"]) == 2
@@ -225,6 +241,49 @@ class TestOracle:
 
     def test_iid_not_allowed(self):
         assert main(["oracle", "--model", "iid-chisq1"]) == 2
+
+
+class TestParserMemo:
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        # one parser serves every call of `main` in a process: two estimates
+        # and two studies give the bytes of fresh processes, and --at starts
+        # empty at each call
+        est, study = tmp_path / "est.csv", tmp_path / "study.csv"
+        runs = [
+            ["estimate", "--model", "arma11", "--N", "300", "--seed", "4",
+             "--at", "0,0", "--at", "2,1"],
+            ["estimate", "--model", "arma11", "--N", "300", "--seed", "4",
+             "--at", "1,0.5", "--output", str(est)],
+            ["study", "--models", "iid-chisq1", "--windows", "rpf:c=0.51,opt",
+             "--N", "120", "--R", "1", "--grid-n", "4", "--seed", "2",
+             "--output", str(study)],
+            ["study", "--models", "arma11", "--N", "150", "--R", "2",
+             "--bandwidth", "3,5", "--seed", "3", "--output", str(study)],
+        ]
+        files = [[], [est, Path(f"{est}.config.json")], [], []]
+        files[2] = files[3] = [study, Path(f"{study}.json"), Path(f"{study}.config.json")]
+
+        def outputs(run, i):
+            stdout = run(runs[i])
+            return [stdout] + [f.read_bytes() for f in files[i]]
+
+        def in_process(args):
+            assert main(args) == 0
+            return capsys.readouterr().out.encode()
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def fresh(args):
+            return subprocess.run([sys.executable, "-m", "flattopspec.cli", *args],
+                                  check=True, env=env, capture_output=True).stdout
+
+        repeated = [outputs(in_process, i) for i in range(len(runs))]
+        assert repeated == [outputs(fresh, i) for i in range(len(runs))]
+        assert len(repeated[0][0].decode().splitlines()) == 3
+        assert est.read_text().count("\n") == 2
+        assert json.loads(files[1][1].read_text())["at"] == ["1,0.5"]
 
 
 def test_help_lists_subcommands(capsys):

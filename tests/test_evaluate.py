@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from flattopspec import (
-    BispectrumLagCache,
     ModelSpec,
     TimeSeries,
     bandwidth_histogram_study,
     composite_grid,
     err_lambda,
     estimate_bispectrum,
+    flat_top_rcf,
     flat_top_rpf,
     generate,
     optimal_window,
     run_mse_study,
 )
-from flattopspec import bandwidth
+from flattopspec import bandwidth, spectra
 from flattopspec.evaluate import CRITERIA
 
 
@@ -81,10 +81,9 @@ class TestRunMseStudy:
         window = flat_top_rpf()
         grid = composite_grid(5)
         series = generate(spec, 300, replication=0)
-        cache = BispectrumLagCache(series)
         points = [(0.0, 0.0), (2.0, 1.0)] + list(grid.points)
-        known = {p: estimate_bispectrum(series, window, 2.0, p, cache=cache).value
-                 for p in points}
+        known = {p: est.value
+                 for p, est in zip(points, estimate_bispectrum(series, window, 2.0, points))}
         report = run_mse_study([spec], [window], bandwidths=2.0, N_list=(300,),
                                R=1, seed=123,
                                truth_override=lambda w: known[w])
@@ -119,6 +118,25 @@ class TestRunMseStudy:
         text = csv_path.read_text()
         assert "abs@origin" in text
         assert json_path.exists()
+
+    def test_one_lag_terms_call_per_window_and_bandwidth(self, monkeypatch):
+        # the `study-sweep` benchmark op: 2 models x 2 windows x 3 bandwidths
+        # at R = 1 read their lag terms in 12 calls, one per estimate call,
+        # not one per frequency (12 points at grid n = 6: 144)
+        used = []
+        lag_terms = spectra._lag_terms
+
+        def spy(*args):
+            used.append(args)
+            return lag_terms(*args)
+        monkeypatch.setattr(spectra, "_lag_terms", spy)
+        models = [ModelSpec("iid-chisq1"), ModelSpec("arma11")]
+        windows = [flat_top_rpf(0.51), flat_top_rcf(0.51)]
+        report = run_mse_study(models, windows, bandwidths=[5.0, 15.0, 25.0],
+                               N_list=(2000,), R=1, grid_n=6, seed=0)
+        assert len(report.cells) == 12 * len(CRITERIA)
+        assert len(used) == 12
+        assert len({(s.values.tobytes(), w.name, M) for s, w, M, _ in used}) == 12
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from flattopspec import (
     BispectrumLagCache,
     ModelSpec,
+    SpectralEstimate,
     TimeSeries,
     bispectrum_curvature,
     canonical_frequency,
@@ -556,12 +557,10 @@ class TestPlanMemo:
     def test_rebuilt_plan_gives_bit_identical_estimates(self):
         s = TimeSeries(np.random.default_rng(2).standard_normal(300) ** 2)
         window = dataclasses.replace(optimal_window())
-        cache = BispectrumLagCache(s)
-        first = [estimate_bispectrum(s, window, 3.0, om, cache=cache).value
-                 for om in FREQUENCIES]
+        first = [est.value for est in estimate_bispectrum(s, window, 3.0, FREQUENCIES)]
         dropped = spectra._lag_plan(window, 3.0, 300)[1]
         for M in np.linspace(4.0, 12.0, 8):
-            estimate_bispectrum(s, window, M, (0.3, 0.2), cache=cache)
+            estimate_bispectrum(s, window, M, [(0.3, 0.2)])
         rebuilt = spectra._lag_plan(window, 3.0, 300)[1]
         assert rebuilt is not dropped
         np.testing.assert_array_equal(rebuilt, dropped)
@@ -648,9 +647,9 @@ class TestBispectrum:
         assert a.value == pytest.approx(b.value.conjugate(), abs=1e-13)
 
     def test_shared_cache_consistent(self, series):
+        # an estimate of a batch, after another frequency, equals a call alone
         window = flat_top_rpf(0.51)
-        cache = BispectrumLagCache(series)
-        a = estimate_bispectrum(series, window, 3.0, (0.8, 0.25), cache=cache)
+        a = estimate_bispectrum(series, window, 3.0, [(0.1, 0.2), (0.8, 0.25)])[1]
         b = estimate_bispectrum(series, window, 3.0, (0.8, 0.25))
         assert a.value == b.value
 
@@ -1009,3 +1008,60 @@ class TestFrequencySumOracle:
             tracemalloc.stop()
         assert est.n_lags == 1_078_201
         assert peak < 10e6
+
+
+@st.composite
+def frequency_batches(draw, order):
+    """F in {0, 1, 2, 13} frequencies drawn from a pool of at most four, so
+    that larger batches repeat some, each coordinate in [-12, 12], so most
+    lie outside [-pi, pi)."""
+    coordinate = st.floats(-12.0, 12.0)
+    point = coordinate if order == 2 else st.tuples(coordinate, coordinate)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    F = draw(st.sampled_from([0, 1, 2, 13]))
+    return draw(st.lists(st.sampled_from(pool), min_size=F, max_size=F))
+
+
+class TestFrequencyBatch:
+    """An estimator given a sequence of frequencies returns the list of its
+    one-frequency estimates, bit for bit: value, omega, lag_cap, n_lags and
+    flags (compared by repr, so -0.0 differs from 0.0)."""
+
+    @pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["opt", "rpf", "rcf", "skew-tent", "fading"]),
+           st.integers(1, 80), st.floats(0.3, 30.0), st.integers(0, 2 ** 32 - 1),
+           frequency_batches(3))
+    def test_bispectrum(self, name, N, M, seed, omegas):
+        # windows summed on orbit representatives (K = 1) and on all six
+        # images (K = 6)
+        window = {"opt": optimal_window(), "rpf": flat_top_rpf(0.51),
+                  "rcf": flat_top_rcf(0.51), "skew-tent": SKEW_TENT,
+                  "fading": fading_window()}[name]
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
+        batch = estimate_bispectrum(s, window, M, omegas)
+        assert isinstance(batch, list)
+        assert repr(batch) == repr([estimate_bispectrum(s, window, M, om) for om in omegas])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["trapezoid", "parzen"]), st.integers(1, 200),
+           st.floats(0.3, 60.0), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           frequency_batches(2))
+    def test_spectrum(self, name, N, M, seed, truncate, omegas):
+        window = {"trapezoid": trapezoid_window(0.51), "parzen": parzen_window()}[name]
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N))
+        batch = estimate_spectrum(s, window, M, omegas, truncate=truncate)
+        assert isinstance(batch, list)
+        assert repr(batch) == repr([estimate_spectrum(s, window, M, om, truncate=truncate)
+                                    for om in omegas])
+
+    def test_one_frequency_or_a_sequence(self, series):
+        rpf, trapezoid = flat_top_rpf(0.51), trapezoid_window(0.51)
+        assert isinstance(estimate_bispectrum(series, rpf, 3.0, (0.4, 0.2)), SpectralEstimate)
+        assert isinstance(estimate_spectrum(series, trapezoid, 3.0, 0.4), SpectralEstimate)
+        assert estimate_bispectrum(series, rpf, 3.0, []) == []
+        assert estimate_spectrum(series, trapezoid, 3.0, []) == []
+        pairs = np.array([[0.4, 0.2], [2.0, 1.0]])
+        assert repr(estimate_bispectrum(series, rpf, 3.0, pairs)) == repr(
+            [estimate_bispectrum(series, rpf, 3.0, (0.4, 0.2)),
+             estimate_bispectrum(series, rpf, 3.0, (2.0, 1.0))])

@@ -13,6 +13,11 @@ digest the exit code and stdout of `flattopspec estimate` at orders 2 and 3,
 with a fixed and an automatic bandwidth, and once with untruncated `opt`.
 Equal digests on two commits mean bit-identical outputs.
 
+Then every op runs a second time in the same process, in reverse order, and
+the script exits 1, naming on stderr each op whose two digests differ: no
+memo (lag plans, window constants, the command-line parser) may carry state
+from one call to the next.
+
     python3 tools/op_digests.py --dump outputs.json
     python3 tools/op_digests.py --against outputs.json --rel 1e-12
 
@@ -36,6 +41,7 @@ import math
 import sys
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,22 +120,36 @@ def _token(text):
         return text
 
 
+def run_op(workload, i, workdir):
+    """(output, digested text) of op i of a benchmark workload."""
+    inp = workload.make(workloads.op_seed(0, i), i)
+    out = workload.collect(inp, workload.call(inp, workdir), workdir)
+    return out, repr(encode(out))
+
+
+def run_estimate(args):
+    """(output, digested text) of one `flattopspec estimate` command."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a selection at its cap warns
+        code = cli.main(["estimate", *args])
+    text = stdout.getvalue()
+    rows = [[_token(t) for t in line.split(",")] for line in text.splitlines()]
+    return [code, rows], f"{code}\n{text}"
+
+
 def ops(workdir):
-    """(label, output, digested text) of every op, in the order printed."""
+    """(label, op) of every op, in the order printed; op() returns the
+    output and the digested text."""
     for name, n_ops in OPS.items():
-        workload = workloads.WORKLOADS[name]
         for i in range(n_ops):
-            inp = workload.make(workloads.op_seed(0, i), i)
-            out = workload.collect(inp, workload.call(inp, workdir), workdir)
-            yield f"{name} {i}", out, repr(encode(out))
+            yield f"{name} {i}", partial(run_op, workloads.WORKLOADS[name], i, workdir)
     for i, args in enumerate(ESTIMATES):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a selection at its cap warns
-            code = cli.main(["estimate", *args])
-        text = stdout.getvalue()
-        rows = [[_token(t) for t in line.split(",")] for line in text.splitlines()]
-        yield f"estimate {i}", [code, rows], f"{code}\n{text}"
+        yield f"estimate {i}", partial(run_estimate, args)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def relative_difference(found, reference):
@@ -159,18 +179,29 @@ def main(argv=None) -> int:
     if args.against:
         with open(args.against) as fh:
             reference = json.load(fh)
-    dump, ok = {}, True
+    dump, digests, ok = {}, {}, True
     with tempfile.TemporaryDirectory() as workdir:
-        for label, out, text in ops(workdir):
+        every_op = list(ops(workdir))
+        for label, op in every_op:
+            out, text = op()
+            digests[label] = digest(text)
             found = [list(leaf) for leaf in leaves(out)]
             if args.dump:
                 dump[label] = found
             if reference is None:
-                print(f"{label} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+                print(f"{label} {digests[label]}", flush=True)
                 continue
             rel = relative_difference(found, reference.get(label, []))
             ok &= rel is not None and rel <= args.rel
             print(f"{label} {'differs' if rel is None else repr(rel)}", flush=True)
+        # every op again, in reverse order: an output that depends on what
+        # ran before it in the process (a memo's state) shows here
+        changed = [label for label, op in reversed(every_op)
+                   if digest(op()[1]) != digests[label]]
+    if changed:
+        print(f"error: ops whose digest changed when run again in reverse order: "
+              f"{', '.join(changed)}", file=sys.stderr)
+        ok = False
     if args.dump:
         with open(args.dump, "w") as fh:
             json.dump(dump, fh)
