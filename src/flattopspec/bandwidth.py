@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, _rho_scale, normalized_cumulant
+from .cumulants import TimeSeries, _rho_scale, central_moment_estimate
 from .exceptions import DegenerateSeriesError
 from .spectra import (
     BispectrumLagCache,
-    _curvature_terms,
-    _frequency_sum,
-    _lag_terms,
+    autocumulants,
+    bispectrum_curvature,
+    estimate_spectrum,
 )
 from .windows import (
     LagWindow,
@@ -107,20 +107,20 @@ def _lags_by_norm(R: int, dim: int, norm: str):
     return lags, key
 
 
-def _scan(cap, window):
+def _scan(cap, threshold, window):
     """The first m in 1..cap whose window lags[lo:hi] of an ordered lag list
-    has no |rho| >= threshold.  `window(m)` returns (lo, hi), then rho and the
-    thresholds at the lags it appended to the list to reach hi (or empties).
+    has no |rho| >= threshold.  `window(m)` returns (lo, hi) and rho at the
+    lags it appended to the list to reach hi (or an empty sequence).
     Returns m_hat, cap_hit, the index of the first exceedance of each blocked
     window, in increasing m, and rho at every lag of the list."""
     rho = np.empty(0)
     exceed = np.empty(0, np.int64)  # the indices where |rho| >= threshold
     firsts = []
     for m in range(1, cap + 1):
-        lo, hi, new_rho, new_thr = window(m)
+        lo, hi, new_rho = window(m)
         if len(new_rho):
             exceed = np.concatenate(
-                [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= new_thr)])
+                [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= threshold)])
             rho = np.concatenate([rho, new_rho])
         j = int(np.searchsorted(exceed, lo))
         if j == exceed.size or exceed[j] >= hi:
@@ -140,8 +140,9 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     and returns the cap rather than raising.  The lags are sorted by norm, so
     each annulus is a contiguous run of them, and the witness of a blocked
     annulus is its first lag with |rho| >= threshold.  Each time the list
-    grows, rho at its new lags comes from `normalized_cumulant` at order 2
-    and from one `BispectrumLagCache.cumulants` lookup at order 3.
+    grows, rho at its new lags comes from one `autocumulants` call at order 2
+    and from one `BispectrumLagCache.cumulants` lookup at order 3, divided by
+    C(0)^(s/2).
     """
     if k <= 0 or a_N < 1 or not 0 < b <= 1:
         raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
@@ -157,6 +158,10 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     if dim == 2:
         lag_cache = BispectrumLagCache(series)
         denom = lag_cache.rho_denominator()
+    else:
+        # a Python float, so var * var over- or underflows without a warning
+        var = central_moment_estimate(series, (0,))
+        denom = _rho_scale(math.sqrt(var * var))
     squared = dim == 2 and norm == "euclidean"
     lags, keys, R = None, np.empty(0, np.int64), 0
 
@@ -171,14 +176,13 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
             new = lags[old:]
             if dim == 2:
                 new_rho = lag_cache.cumulants(new[:, 0], new[:, 1])
-                new_rho /= denom
             else:
-                new_rho = np.array([normalized_cumulant(series, (t,))
-                                    for t in new[:, 0].tolist()])
+                new_rho = autocumulants(series, new[:, 0])
+            new_rho /= denom
         lo, hi = (m * m, (m + a_N) ** 2) if squared else (m, m + a_N)
-        return np.searchsorted(keys, lo), np.searchsorted(keys, hi), new_rho, thr
+        return np.searchsorted(keys, lo), np.searchsorted(keys, hi), new_rho
 
-    m_hat, cap_hit, firsts, rho = _scan(cap, annulus)
+    m_hat, cap_hit, firsts, rho = _scan(cap, thr, annulus)
     if cap_hit:
         _warn_cap()
     # a witness that blocks several annuli is one entry, repeated
@@ -215,14 +219,15 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     The bandwidth is floor(i / b) with i the first coordinate of P_{m_hat},
     so b = c = 0.51 yields only odd integers and b = 0.5 only even ones.
     The scan starts at P_2, so P_1 = (1,0) is never examined for m >= 1 and
-    k1 never affects a selection.  Rho at each growth of the point list comes
-    from one `BispectrumLagCache.cumulants` lookup; the trace lists every
-    (point, rho) seen.
+    k1 has no effect (it is kept in `thresholds`).  Rho at each growth of the
+    point list comes from one `BispectrumLagCache.cumulants` lookup; the
+    trace lists every (point, rho) seen.
     """
     if k1 <= 0 or k2 <= 0 or L < 1 or not 0 < b <= 1:
         raise ValueError("need k1, k2 > 0, L >= 1, b in (0, 1]")
     N = series.n
     base = math.sqrt(math.log(N) / math.log(log_base) / N)
+    thr = k2 * base
     if cap is None:
         cap = max(1, N // 4)
     cache = BispectrumLagCache(series)
@@ -232,7 +237,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     def points(m):
         # window m is P_{m+1} .. P_{m+L}
         nonlocal size
-        new_rho = new_thr = ()
+        new_rho = ()
         if m + L > size:
             new = [lex_point(n) for n in range(
                 size + 1, min(max(2 * size, m + L), cap + L) + 1)]
@@ -240,10 +245,9 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
             T1, T2 = np.array(new).T
             new_rho = cache.cumulants(T1, T2)
             new_rho /= denom
-            new_thr = np.array([(k1 if p == (1, 0) else k2) * base for p in new])
-        return m, m + L, new_rho, new_thr
+        return m, m + L, new_rho
 
-    m_hat, cap_hit, firsts, rho = _scan(cap, points)
+    m_hat, cap_hit, firsts, rho = _scan(cap, thr, points)
     if cap_hit:
         _warn_cap()
     # window m examined its points up to its first exceedance; m_hat all L
@@ -331,12 +335,13 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     return [(s, 2.0 * s) for s in sigmas] if many else (sigmas[0], 2.0 * sigmas[0])
 
 
-def _bootstrap_ks(series, lag_pairs, seed):
-    """max(k, 1e-3) at both lags of each pair in `lag_pairs`: the first lags
-    from one bootstrap drawn with `seed`, the second from one with seed + 1."""
-    found = [bootstrap_threshold(series, lags, seed=None if seed is None else seed + i)
-             for i, lags in enumerate(zip(*lag_pairs))]
-    return [[max(k, 1e-3) for _, k in ks] for ks in zip(*found)]
+def _bootstrap_ks(series, draws, seed):
+    """max(k, 1e-3) at each lag of the lists in `draws`, keyed by lag: those
+    of draws[i] from one bootstrap drawn with seed + i, if it is not empty."""
+    return {lag: max(k, 1e-3)
+            for i, lags in enumerate(draws) if lags
+            for lag, (_, k) in zip(lags, bootstrap_threshold(
+                series, list(lags), seed=None if seed is None else seed + i))}
 
 
 # the lags of the calibrated pilot thresholds of the 1-D and 2-D rules; the
@@ -402,31 +407,28 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
     if pilot == "second-order":
         pilots = _second_order_pilots(series)
     else:
-        ks = _bootstrap_ks(series, [_PILOT_LAGS] if calibrate else [], seed)
-        pilots = _flat_top_pilots(series, c, *(ks[0] if ks else ()))
+        ks = _bootstrap_ks(series, [[lag] for lag in _PILOT_LAGS] if calibrate else [], seed)
+        pilots = _flat_top_pilots(series, c, *(ks.get(lag, 2.0) for lag in _PILOT_LAGS))
     return _plugin_selections(window, series, omegas, pilot, pilots, cap)
 
 
 def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     """`plugin_bandwidth` at the (w1, w2) pairs of `omegas`, given its pilot
     windows and bandwidths (spectrum window, M2, bispectrum window, M3).
-    The lag terms of both pilots are computed once for all the pairs."""
+    Each pilot is one estimator call for all the pairs."""
     N = series.n
     cap = N / 4.0 if cap is None else cap
     spec_win, M2, bisp_win, M3 = pilots
-    (spec_lags, spec_w, _, _), spec_C = _lag_terms(series, spec_win, M2, 2)
-    (_, bisp_w, _, _), C = _lag_terms(series, bisp_win, M3, 3)
-    lam_norm = window_l2_norm(window)
-    lam_d2 = window_curvature_at_zero(window)
     pairs = np.asarray(omegas, float).tolist()
     # the pilot spectrum at w1, w2 and w1 + w2 of each pair, a negative
-    # estimate clamped to 0 as `estimate_spectrum` does
-    points = [(w,) for w1, w2 in pairs for w in (w1, w2, w1 + w2)]
-    f = [0.0 if s.real < 0.0 else s.real
-         for s, _ in _frequency_sum(spec_w * spec_C, points, spec_lags)]
-    curvatures = _frequency_sum(_curvature_terms(bisp_w, C), pairs)
+    # estimate clamped to 0
+    f = [e.value for e in estimate_spectrum(
+        series, spec_win, M2, [w for w1, w2 in pairs for w in (w1, w2, w1 + w2)])]
+    curvatures = bispectrum_curvature(series, bisp_win, M3, pairs)
+    lam_norm = window_l2_norm(window)
+    lam_d2 = window_curvature_at_zero(window)
     selections = []
-    for i, ((w1, w2), (curv, _)) in enumerate(zip(pairs, curvatures)):
+    for i, ((w1, w2), curv) in enumerate(zip(pairs, curvatures)):
         product = f[3 * i] * f[3 * i + 1] * f[3 * i + 2]
         if product <= 0.0:
             raise DegenerateSeriesError("pilot spectral product is not positive")

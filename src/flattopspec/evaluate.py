@@ -177,6 +177,7 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
     report = StudyReport(meta={"R": R, "grid_n": grid_n, "seed": seed,
                                "calibrate": calibrate})
     eval_points = [(0.0, 0.0), _POINT_21] + list(grid.points)
+    cells = [(window, bw) for window in windows for bw in bw_list]
 
     for model in models:
         spec = _with_seed(model, seed)
@@ -191,48 +192,38 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
         if np.any(denom <= 0):
             raise DegenerateSeriesError("non-positive standardization denominator")
 
-        # (N, rep) -> (M, cap_hit) of the selection rule: a replication's
-        # series, and so its selection, is the same for every window
-        selections = {}
         for N in N_list:
-            for window in windows:
-                for bw in bw_list:
-                    losses = {name: np.zeros(R) for name in CRITERIA}
-                    origin_abs = np.zeros(R)
-                    at_cap = 0
-                    for rep in range(R):
-                        series = generate(spec, N, replication=rep)
-                        if bw == "auto":
-                            if (N, rep) not in selections:
-                                ks = (_bootstrap_ks(series, [_A_LAGS], 2 * rep)[0]
-                                      if calibrate else ())
-                                selections[N, rep] = _selection_rule_bandwidth(
-                                    series, c, *ks)
-                            M, cap_hit = selections[N, rep]
-                            at_cap += cap_hit
-                        else:
-                            M = float(bw)
-                        e_origin, e_21, *e_grid = [e.value for e in estimate_bispectrum(
-                            series, window, M, eval_points)]
-                        origin_abs[rep] = abs(e_origin)
-                        losses["abs@origin"][rep] = abs(abs(e_origin) - abs(f_origin))
-                        losses["re@(2,1)"][rep] = abs(e_21.real - f_21.real)
-                        losses["im@(2,1)"][rep] = abs(e_21.imag - f_21.imag)
-                        losses["abs@(2,1)"][rep] = abs(abs(e_21) - abs(f_21))
-                        losses["T_composite"][rep] = err_lambda(e_grid, f_grid, denom)
-                    if bw == "auto":
-                        report.meta.setdefault("cap_hits", []).append(
-                            {"model": spec.kind, "window": window.name, "N": N,
-                             "at_cap": at_cap})
-                    bw_label = "auto" if bw == "auto" else f"M={float(bw):g}"
-                    for name in CRITERIA:
-                        report.cells.append(CriterionResult(
-                            criterion=name, losses=losses[name], n=N,
-                            window=window.name, bandwidth=bw_label,
-                            model=spec.kind,
-                            mean_estimate=(float(origin_abs.mean())
-                                           if name == "abs@origin" else float("nan")),
-                        ))
+            # per cell the loss of each criterion, then |fhat(0, 0)|, by
+            # replication; every cell reads a replication's series and selection
+            loss = np.zeros((len(cells), len(CRITERIA) + 1, R))
+            at_cap = 0
+            for rep in range(R):
+                series = generate(spec, N, replication=rep)
+                if "auto" in bw_list:
+                    ks = _bootstrap_ks(series, [[], [_K2_LAG]] if calibrate else [], 2 * rep)
+                    M_auto, cap_hit = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))
+                    at_cap += cap_hit
+                for i, (window, bw) in enumerate(cells):
+                    M = M_auto if bw == "auto" else float(bw)
+                    e_origin, e_21, *e_grid = [e.value for e in estimate_bispectrum(
+                        series, window, M, eval_points)]
+                    loss[i, :, rep] = (
+                        abs(abs(e_origin) - abs(f_origin)), abs(e_21.real - f_21.real),
+                        abs(e_21.imag - f_21.imag), abs(abs(e_21) - abs(f_21)),
+                        err_lambda(e_grid, f_grid, denom), abs(e_origin))
+            for (window, bw), (*losses, origin_abs) in zip(cells, loss):
+                if bw == "auto":
+                    report.meta.setdefault("cap_hits", []).append(
+                        {"model": spec.kind, "window": window.name, "N": N,
+                         "at_cap": at_cap})
+                bw_label = "auto" if bw == "auto" else f"M={float(bw):g}"
+                for name, name_losses in zip(CRITERIA, losses):
+                    report.cells.append(CriterionResult(
+                        criterion=name, losses=name_losses, n=N,
+                        window=window.name, bandwidth=bw_label, model=spec.kind,
+                        mean_estimate=(float(origin_abs.mean())
+                                       if name == "abs@origin" else float("nan")),
+                    ))
     return report
 
 
@@ -266,13 +257,15 @@ class ProcedureResult:
         return float(np.mean(self.bandwidths))
 
 
-_A_LAGS = ((3, 0), (6, 3))  # the lags of procedure (a)'s calibrated k1 and k2
+# the lag of procedure (a)'s calibrated k2, from the second draw of a series;
+# its k1 has no effect on the rule (P_1 is never scanned), so nothing draws one
+_K2_LAG = (6, 3)
 
 
-def _selection_rule_bandwidth(series, c, k1=2.0, k2=2.0):
+def _selection_rule_bandwidth(series, c, k2=2.0):
     """Procedure (a): the bispectrum selection rule's bandwidth, and whether
     the rule stopped at its cap."""
-    sel = select_bandwidth_bispectrum(series, k1=k1, k2=k2, b=c)
+    sel = select_bandwidth_bispectrum(series, k2=k2, b=c)
     return max(sel.M_hat, 1.0), sel.cap_hit
 
 
@@ -284,20 +277,22 @@ _PLUGIN_PROCEDURES = {
 
 
 def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
-    """Bandwidth of each procedure on one series.  With `calibrate`, procedure
-    (a) and the flat-top pilots share two bootstraps, seeded rep_seed and + 1;
-    without, every threshold is the default k."""
-    flat_top = any(p in _PLUGIN_PROCEDURES["flat-top"] for p in procedures)
-    pairs = ([_A_LAGS] * ("a" in procedures) + [_PILOT_LAGS] * flat_top
-             if calibrate else [])
-    ks = dict(zip(pairs, _bootstrap_ks(series, pairs, rep_seed)))
+    """Bandwidth of each procedure on one series.  With `calibrate`, two
+    bootstraps are drawn, seeded rep_seed and + 1: the first serves the
+    flat-top pilots' 1-D threshold, the second procedure (a)'s k2 and the
+    pilots' 2-D threshold; without, every threshold is the default k."""
+    a = "a" in procedures
+    pilot_lags = _PILOT_LAGS if any(p in _PLUGIN_PROCEDURES["flat-top"]
+                                    for p in procedures) else ()
+    draws = [pilot_lags[:1], [_K2_LAG] * a + list(pilot_lags[1:])] if calibrate else []
+    ks = _bootstrap_ks(series, draws, rep_seed)
     chosen = {}
-    if "a" in procedures:
-        chosen["a"] = _selection_rule_bandwidth(series, c, *ks.get(_A_LAGS, ()))[0]
+    if a:
+        chosen["a"] = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))[0]
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:
-            pilots = (_flat_top_pilots(series, c, *ks.get(_PILOT_LAGS, ()))
+            pilots = (_flat_top_pilots(series, c, *(ks.get(lag, 2.0) for lag in _PILOT_LAGS))
                       if pilot == "flat-top" else _second_order_pilots(series))
             sels = _plugin_selections(window, series, [points[p] for p in group],
                                       pilot, pilots)
@@ -351,28 +346,33 @@ def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
     estimates over R long realizations.
 
     Replication ids start at a large offset so oracle draws never collide
-    with study replications under the same seed.  The estimates of one
-    realization at each order are one call, so one pass over its lags.
+    with study replications under the same seed.  Frequencies with one key
+    (rounded to 9 decimals) are one entry, estimated once, at the first of
+    them.  The estimates of one realization at each order are one call, so
+    one pass over its lags.
     """
     if R < 1 or L_sim < 16:
         raise ValueError("need R >= 1 and a nontrivial simulation length")
     spec_win = trapezoid_window(c)
     bisp_win = flat_top_rpf(c)
-    f2_acc = {_freq_key(w): 0.0 for w in freqs2}
-    f3_acc = {(_freq_key(w[0]), _freq_key(w[1])): 0j for w in freqs3}
+    # the first frequency of each distinct key, estimated once
+    f2, f3 = {}, {}
+    for w in freqs2:
+        f2.setdefault(_freq_key(w), w)
+    for w in freqs3:
+        f3.setdefault((_freq_key(w[0]), _freq_key(w[1])), w)
+    sum2, sum3 = np.zeros(len(f2)), np.zeros(len(f3), complex)
     for rep in range(R):
         series = generate(spec, L_sim, replication=replication_offset + rep)
-        if freqs2:
+        if f2:
             M2 = select_bandwidth_general(series, order=2, b=c).M_hat
-            for w, est in zip(freqs2, estimate_spectrum(series, spec_win, M2, freqs2)):
-                f2_acc[_freq_key(w)] += est.value
-        if freqs3:
+            sum2 += [e.value for e in estimate_spectrum(series, spec_win, M2, [*f2.values()])]
+        if f3:
             M3 = max(select_bandwidth_bispectrum(series, b=c).M_hat, 1.0)
-            for w, est in zip(freqs3, estimate_bispectrum(series, bisp_win, M3, freqs3)):
-                f3_acc[(_freq_key(w[0]), _freq_key(w[1]))] += est.value
+            sum3 += [e.value for e in estimate_bispectrum(series, bisp_win, M3, [*f3.values()])]
     return ReferenceTable(
         model=spec.kind,
         meta={"R": R, "L_sim": L_sim, "seed": spec.seed},
-        spectrum={k: v / R for k, v in f2_acc.items()},
-        bispectrum={k: v / R for k, v in f3_acc.items()},
+        spectrum=dict(zip(f2, (sum2 / R).tolist())),
+        bispectrum=dict(zip(f3, (sum3 / R).tolist())),
     )

@@ -212,19 +212,16 @@ class BispectrumLagCache:
 
 
 def autocumulants(series: TimeSeries, taus) -> np.ndarray:
-    """Second-order mean-centered sample cumulants at each lag in `taus`."""
+    """Second-order mean-centered sample cumulants at each lag in `taus`:
+    (y[:N - |tau|] * y[|tau|:]).sum() / N, bit for bit the value of
+    `central_moment_estimate`, and 0 where |tau| >= N."""
     y = series.centered()
     N = series.n
     out = np.zeros(len(taus))
     for i, tau in enumerate(taus):
-        tau = int(tau)
-        alpha = min(0, tau)
-        gamma = max(0, tau) - alpha
-        n_terms = N - gamma
-        if n_terms < 1:
-            continue
-        out[i] = np.dot(y[tau - alpha:tau - alpha + n_terms],
-                        y[-alpha:-alpha + n_terms]) / N
+        t = abs(int(tau))
+        if t < N:
+            out[i] = (y[:N - t] * y[t:]).sum() / N
     return out
 
 
@@ -399,15 +396,14 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega])[0][0]
 
 
-def _curvature_terms(w, C):
-    """The terms of the curvature sum: -(t1^2 - t1 t2 + t2^2) w C, whose
-    factor is -(a^2 - ab + b^2) at every image of an orbit."""
-    a, b = _orbit_lags(np.arange(C.size))
-    return -(a * a - a * b + b * b) * w * C
-
-
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
-                         omega) -> complex:
-    """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat, in a single lag pass."""
+                         omega) -> complex | list:
+    """(d^2/dw1^2 - d^2/dw1 dw2 + d^2/dw2^2) fhat at omega = (omega1, omega2),
+    or a list of them, one per pair of a sequence `omega`, from one pass over
+    the lags.  The factor -(t1^2 - t1 t2 + t2^2) of a term is -(a^2 - ab +
+    b^2) at every image of an orbit (a, b)."""
+    one, points = _frequencies(omega, 3)
     (_, w, _, _), C = _lag_terms(series, window, M, 3)
-    return _frequency_sum(_curvature_terms(w, C), [omega])[0][0]
+    a, b = _orbit_lags(np.arange(C.size))
+    sums = [val for val, _ in _frequency_sum(-(a * a - a * b + b * b) * w * C, points)]
+    return sums[0] if one else sums

@@ -310,6 +310,16 @@ class TestGeneralRule:
         with pytest.raises(DegenerateSeriesError):
             select_bandwidth_general(TimeSeries(np.ones(100)))
 
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_order_2_extreme_scale_is_degenerate_without_warning(self, exponent):
+        # C(0)^2 over- or underflows as a Python float, silently, and the rule
+        # raises before it computes any rho
+        x = np.ldexp(generate(ModelSpec("garch11", seed=3), 400).values, exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSeriesError):
+                select_bandwidth_general(TimeSeries(x), order=2)
+
     def test_cap_flagged_not_raised(self):
         # strongly periodic data never drops below the threshold
         t = np.arange(400)

@@ -16,8 +16,20 @@ from flattopspec import (
     optimal_window,
     run_mse_study,
 )
-from flattopspec import bandwidth, spectra
-from flattopspec.evaluate import CRITERIA
+from flattopspec import bandwidth, evaluate, spectra
+from flattopspec.evaluate import CRITERIA, PROCEDURES
+
+
+def spy_bootstrap_draws(monkeypatch):
+    """The (lags, seed) of each `bootstrap_threshold` call from here on."""
+    draws = []
+    real = bandwidth.bootstrap_threshold
+
+    def spy(series, tau0, seed=None, **kwargs):
+        draws.append((tau0, seed))
+        return real(series, tau0, seed=seed, **kwargs)
+    monkeypatch.setattr(bandwidth, "bootstrap_threshold", spy)
+    return draws
 
 
 class TestCompositeGrid:
@@ -122,21 +134,35 @@ class TestRunMseStudy:
     def test_one_lag_terms_call_per_window_and_bandwidth(self, monkeypatch):
         # the `study-sweep` benchmark op: 2 models x 2 windows x 3 bandwidths
         # at R = 1 read their lag terms in 12 calls, one per estimate call,
-        # not one per frequency (12 points at grid n = 6: 144)
-        used = []
+        # not one per frequency (12 points at grid n = 6: 144), from one
+        # series per model (2 `generate` calls, not 12)
+        used, generated = [], []
         lag_terms = spectra._lag_terms
+        generate_series = evaluate.generate
 
         def spy(*args):
             used.append(args)
             return lag_terms(*args)
         monkeypatch.setattr(spectra, "_lag_terms", spy)
+        monkeypatch.setattr(evaluate, "generate", lambda *args, **kwargs: generated.append(
+            args) or generate_series(*args, **kwargs))
         models = [ModelSpec("iid-chisq1"), ModelSpec("arma11")]
         windows = [flat_top_rpf(0.51), flat_top_rcf(0.51)]
         report = run_mse_study(models, windows, bandwidths=[5.0, 15.0, 25.0],
                                N_list=(2000,), R=1, grid_n=6, seed=0)
         assert len(report.cells) == 12 * len(CRITERIA)
+        assert len(generated) == 2
         assert len(used) == 12
         assert len({(s.values.tobytes(), w.name, M) for s, w, M, _ in used}) == 12
+
+    def test_calibrated_selection_draws_k2_alone(self, monkeypatch):
+        # one bootstrap per replication, at procedure (a)'s k2 lag with seed
+        # 2 rep + 1, whatever the windows: k1 has no effect, so nothing draws it
+        draws = spy_bootstrap_draws(monkeypatch)
+        report = run_mse_study([ModelSpec("arma11")], [flat_top_rpf(), flat_top_rcf()],
+                               N_list=(200,), R=3, seed=4, calibrate=True)
+        assert draws == [([(6, 3)], 2 * rep + 1) for rep in range(3)]
+        assert len(report.meta["cap_hits"]) == 2
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):
@@ -209,9 +235,9 @@ class TestHistogramStudy:
             assert [r.bandwidths[rep] for r in results[1:]] == [s.M_hat for s in sels]
 
     def test_calibrated_study_draws_twice_per_replication(self, monkeypatch):
-        # procedure a's (3, 0) and the pilots' (3,) share the resamples of
-        # seed s, and a's (6, 3) and the pilots' (3, 0) those of seed s + 1;
-        # a series' own Philox is seeded with a SeedSequence
+        # the pilots' (3,) comes from the resamples of seed s, and a's (6, 3)
+        # and the pilots' (3, 0) share those of seed s + 1; a series' own
+        # Philox is seeded with a SeedSequence
         specs = [ModelSpec("iid-chisq1", seed=13), ModelSpec("arma11", seed=13)]
         draws = []
         real_philox = np.random.Philox
@@ -236,10 +262,26 @@ class TestHistogramStudy:
 
         monkeypatch.setattr(bandwidth, "bootstrap_threshold", one_lag_per_call)
         separate = bandwidth_histogram_study(specs, N_list=(200,), R=3, calibrate=True)
-        assert split == [2, 2] * 3 * len(specs)
+        assert split == [1, 2] * 3 * len(specs)
         assert [r.procedure for r in shared] == [r.procedure for r in separate]
         for a, b in zip(shared, separate):
             np.testing.assert_array_equal(a.bandwidths, b.bandwidths)
+
+    def test_calibrated_draws_reduce_only_the_lags_read(self, monkeypatch):
+        # the first draw serves the pilots' (3,) alone, the second (a)'s k2 at
+        # (6, 3) and the pilots' (3, 0); no k1 is drawn, and a procedure set
+        # without pilots or without (a) draws only what it reads
+        draws = spy_bootstrap_draws(monkeypatch)
+        spec = ModelSpec("arma11", seed=13)
+        for procedures, per_rep in [
+                (PROCEDURES, [[(3,)], [(6, 3), (3, 0)]]),
+                (("a", "d"), [[], [(6, 3)]]),
+                (("c",), [[(3,)], [(3, 0)]])]:
+            draws.clear()
+            bandwidth_histogram_study([spec], N_list=(200,), R=2, procedures=procedures,
+                                      calibrate=True)
+            assert draws == [(lags, 2 * rep + i) for rep in range(2)
+                             for i, lags in enumerate(per_rep) if lags], procedures
 
     def test_unknown_procedure_rejected(self):
         with pytest.raises(ValueError, match="unknown procedures"):

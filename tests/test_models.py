@@ -197,6 +197,18 @@ class TestBuildReferenceTable:
         with pytest.raises(ValueError):
             build_reference_table(ModelSpec("garch11"), R=0)
 
+    def test_frequencies_with_one_key_are_one_entry(self):
+        # a repeated frequency, or one within the 9-decimal key of another,
+        # is estimated once, not added into the entry twice
+        spec = ModelSpec("garch11", seed=1)
+        once = build_reference_table(spec, freqs2=[0.5], freqs3=[(0.5, 0.25)],
+                                     R=1, L_sim=800)
+        repeated = build_reference_table(
+            spec, freqs2=[0.5, 0.5], freqs3=[(0.5, 0.25), (0.5 + 1e-11, 0.25)],
+            R=1, L_sim=800)
+        assert repeated.spectrum == once.spectrum
+        assert repeated.bispectrum == once.bispectrum
+
     def test_one_lag_cache_per_series(self, monkeypatch):
         # the 8 bispectrum frequencies of grid n = 5 read the cumulants of a
         # realization in one `_lag_terms` call per (series, window, M), not

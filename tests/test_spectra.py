@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flattopspec import (
@@ -568,6 +568,20 @@ class TestPlanMemo:
                 for om in FREQUENCIES] == first
 
 
+class TestAutocumulants:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(-45, 45), max_size=12))
+    @example(1, 0, [-1, 0, 1, 2])
+    def test_equals_central_moment_estimate(self, N, seed, taus):
+        # lags of either sign, 0, and |tau| >= N, whose sum is empty; the
+        # values agree bit for bit (compared by repr, so -0.0 differs from 0.0)
+        taus = [*taus, 0, -N, N]
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
+        got = spectra.autocumulants(s, np.array(taus))
+        assert repr(got.tolist()) == repr([central_moment_estimate(s, (t,)) for t in taus])
+
+
 class TestSpectrum:
     def test_matches_naive(self, series):
         for window in (trapezoid_window(0.51), parzen_window()):
@@ -1029,19 +1043,20 @@ class TestFrequencyBatch:
 
     @pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.sampled_from(["opt", "rpf", "rcf", "skew-tent", "fading"]),
+    @given(st.sampled_from([estimate_bispectrum, bispectrum_curvature]),
+           st.sampled_from(["opt", "rpf", "rcf", "skew-tent", "fading"]),
            st.integers(1, 80), st.floats(0.3, 30.0), st.integers(0, 2 ** 32 - 1),
            frequency_batches(3))
-    def test_bispectrum(self, name, N, M, seed, omegas):
-        # windows summed on orbit representatives (K = 1) and on all six
-        # images (K = 6)
+    def test_bispectrum(self, estimator, name, N, M, seed, omegas):
+        # the estimates and the curvature; windows summed on orbit
+        # representatives (K = 1) and on all six images (K = 6)
         window = {"opt": optimal_window(), "rpf": flat_top_rpf(0.51),
                   "rcf": flat_top_rcf(0.51), "skew-tent": SKEW_TENT,
                   "fading": fading_window()}[name]
         s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
-        batch = estimate_bispectrum(s, window, M, omegas)
+        batch = estimator(s, window, M, omegas)
         assert isinstance(batch, list)
-        assert repr(batch) == repr([estimate_bispectrum(s, window, M, om) for om in omegas])
+        assert repr(batch) == repr([estimator(s, window, M, om) for om in omegas])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(["trapezoid", "parzen"]), st.integers(1, 200),
@@ -1059,8 +1074,10 @@ class TestFrequencyBatch:
         rpf, trapezoid = flat_top_rpf(0.51), trapezoid_window(0.51)
         assert isinstance(estimate_bispectrum(series, rpf, 3.0, (0.4, 0.2)), SpectralEstimate)
         assert isinstance(estimate_spectrum(series, trapezoid, 3.0, 0.4), SpectralEstimate)
+        assert isinstance(bispectrum_curvature(series, rpf, 3.0, (0.4, 0.2)), complex)
         assert estimate_bispectrum(series, rpf, 3.0, []) == []
         assert estimate_spectrum(series, trapezoid, 3.0, []) == []
+        assert bispectrum_curvature(series, rpf, 3.0, []) == []
         pairs = np.array([[0.4, 0.2], [2.0, 1.0]])
         assert repr(estimate_bispectrum(series, rpf, 3.0, pairs)) == repr(
             [estimate_bispectrum(series, rpf, 3.0, (0.4, 0.2)),

@@ -11,7 +11,10 @@ output, the private keys too: a series as the bytes of its values, and a
 dataclass (a `BandwidthSelection`) as its fields.  The `estimate` lines
 digest the exit code and stdout of `flattopspec estimate` at orders 2 and 3,
 with a fixed and an automatic bandwidth, and once with untruncated `opt`.
-Equal digests on two commits mean bit-identical outputs.
+The last line digests the exit code and the CSV and JSON tables of one
+`flattopspec study --bandwidth auto --calibrate` run at R=2, the path of the
+bootstrap-calibrated selection rule.  Equal digests on two commits mean
+bit-identical outputs.
 
 Then every op runs a second time in the same process, in reverse order, and
 the script exits 1, naming on stderr each op whose two digests differ: no
@@ -69,6 +72,10 @@ ESTIMATES = [
     ["--order", "3", "--model", "iid-chisq1", "--N", "300", "--seed", "5",
      "--window", "opt", "--bandwidth", "4", *_BISPECTRUM_AT],
 ]
+
+CALIBRATED_STUDY = ["--models", "iid-chisq1,arma11", "--windows", "rpf:c=0.51,rcf:c=0.51",
+                    "--N", "200", "--R", "2", "--bandwidth", "auto", "--calibrate",
+                    "--grid-n", "4", "--seed", "3"]
 
 
 def encode(obj):
@@ -138,6 +145,19 @@ def run_estimate(args):
     return [code, rows], f"{code}\n{text}"
 
 
+def run_study(args, workdir):
+    """(output, digested text) of one `flattopspec study` command: its exit
+    code and its CSV and JSON tables (the sidecar names the output path)."""
+    out = str(Path(workdir) / "calibrated.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a selection at its cap warns
+        code = cli.main(["study", *args, "--output", out])
+    csv_text = Path(out).read_text()
+    json_text = Path(out + ".json").read_text()
+    rows = [[_token(t) for t in line.split(",")] for line in csv_text.splitlines()]
+    return [code, rows, json.loads(json_text)], f"{code}\n{csv_text}\n{json_text}"
+
+
 def ops(workdir):
     """(label, op) of every op, in the order printed; op() returns the
     output and the digested text."""
@@ -146,6 +166,7 @@ def ops(workdir):
             yield f"{name} {i}", partial(run_op, workloads.WORKLOADS[name], i, workdir)
     for i, args in enumerate(ESTIMATES):
         yield f"estimate {i}", partial(run_estimate, args)
+    yield "study-calibrated 0", partial(run_study, CALIBRATED_STUDY, workdir)
 
 
 def digest(text):
