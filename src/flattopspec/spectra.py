@@ -319,8 +319,15 @@ def _frequency_sum(terms, omegas, lags=None):
     dense lower triangle D, it adds G = E_x D E_y^T, whose sum gives the real
     part G00 - G11 and the imaginary part -(G10 + G01): the indirect method's
     E1 (W o C) E2^T on its principal triangle.  One row of terms serves the
-    two images with each x at once, as E_x D (E_y + E_y')^T.  Each D serves
-    every frequency, with the products of a call at that frequency alone."""
+    two images with each x at once, as E_x D (E_y + E_y')^T.
+
+    Each D is filled once and serves every frequency in one stacked product
+    per chunk of frequencies, whose (chunk, image, 2, r1) intermediate stays
+    within `_LAG_BLOCK` entries.  A stacked matmul makes one product per
+    (frequency, image) of the shapes a one-frequency call makes, so each
+    sum keeps the bits it has alone.  Order 2 stays one dot product per
+    frequency: a stacked (F, L) @ (L,) is a gemv, which sums in another
+    order."""
     omegas = [tuple(canonical_frequency(w) for w in omega) for omega in omegas]
     if lags is not None:
         return [(complex(terms @ np.cos(lags * w), -(terms @ np.sin(lags * w))) / _TWO_PI,
@@ -328,21 +335,33 @@ def _frequency_sum(terms, omegas, lags=None):
     K, size = terms.shape
     A = (math.isqrt(8 * size + 1) - 1) // 2
     a = np.arange(A)
-    XY = []
-    for w1, w2 in omegas:
-        ang = np.multiply.outer((w1, w2, -w1 - w2), a)
-        E = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (angle, cos or sin, a)
-        XY.append((E, E.sum(axis=0) - E) if K == 1 else (E[_IMAGE_X], E[_IMAGE_Y]))
+    F = len(omegas)
+    w = np.array(omegas, float).reshape(F, 2)
+    # E[f, k] = [cos; sin] of a times (w1, w2, -w1 - w2)[k] of frequency f
+    E = np.empty((F, 3, 2, A))
+    for k, angle in enumerate((w[:, 0], w[:, 1], -w[:, 0] - w[:, 1])):
+        ang = np.multiply.outer(angle, a)
+        np.cos(ang, out=E[:, k, 0])
+        np.sin(ang, out=E[:, k, 1])
+    del ang
+    if K == 1:
+        E_sum = E.sum(axis=1, keepdims=True)
+    chunk = max(1, _LAG_BLOCK // ((3 if K == 1 else 6) * 2 * A))
     step = max(1, _LAG_BLOCK // A)
-    G = np.zeros((len(omegas), 2, 2))
+    G = np.zeros((F, 2, 2))
     for r0 in range(0, A, step):
         r1 = min(r0 + step, A)
         D = np.zeros((K, r1 - r0, r1))
         lower = np.greater_equal.outer(a[r0:r1], a[:r1])
         for block, part in zip(D, terms[:, r0 * (r0 + 1) // 2:r1 * (r1 + 1) // 2]):
             block[lower] = part
-        for g, (X, Y) in zip(G, XY):
-            g += (X[:, :, r0:r1] @ D @ Y[:, :, :r1].transpose(0, 2, 1)).sum(axis=0)
+        for f in range(0, F, chunk):
+            e = E[f:f + chunk]
+            if K == 1:
+                X, Y = e[..., r0:r1], E_sum[f:f + chunk, ..., :r1] - e[..., :r1]
+            else:
+                X, Y = e[:, _IMAGE_X, :, r0:r1], e[:, _IMAGE_Y, :, :r1]
+            G[f:f + chunk] += (X @ D @ Y.swapaxes(-1, -2)).sum(axis=1)
     return [(complex(g[0, 0] - g[1, 1], -(g[1, 0] + g[0, 1])) / _TWO_PI ** 2, omega)
             for g, omega in zip(G, omegas)]
 
