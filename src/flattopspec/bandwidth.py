@@ -81,30 +81,57 @@ def _log_threshold(k: float, N: int, base: float) -> float:
     return k * math.sqrt(math.log(N) / math.log(base) / N)
 
 
-def _lags_by_norm(R: int, dim: int, norm: str):
-    """Nonzero integer lags with norm < R (positive lags in 1-D) as rows of
-    an array, sorted by norm and then lexicographically, with their exact
-    integer sort keys: t1^2 + t2^2 for the euclidean norm, max(|t1|, |t2|)
-    for sup, t in 1-D."""
+def _isqrt(x):
+    """floor(sqrt(x)) of each nonnegative integer of the array x."""
+    r = np.sqrt(x).astype(x.dtype)
+    # the float root may be one off for large x
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
+    """Nonzero integer lags with R0 <= norm < R (positive lags in 1-D) as
+    rows of an array, sorted by norm and then lexicographically, with their
+    exact integer sort keys: t1^2 + t2^2 for the euclidean norm, max(|t1|,
+    |t2|) for sup, t in 1-D; int32 where the keys fit.  Those of a larger R0
+    follow those of a smaller one, so a list grows by rings: the lags of [0,
+    R) are those of [0, R0) followed by those of [R0, R)."""
+    dtype = np.int32 if R * R < 2 ** 31 else np.int64
     if dim == 1:
-        t = np.arange(1, R)
+        t = np.arange(max(R0, 1), max(R, 1), dtype=dtype)
         return t[:, None], t
-    t = np.arange(-R, R + 1)
+    t1 = np.arange(1 - R, R, dtype=dtype)
+    # row t1 holds the t2 with lo <= |t2| <= hi
     if norm == "sup":
-        key, bound = np.maximum.outer(np.abs(t), np.abs(t)), R
+        hi = np.full(t1.size, R - 1, dtype)
+        lo = np.where(np.abs(t1) >= R0, 0, R0).astype(dtype)
     else:
-        key, bound = np.add.outer(t * t, t * t), R * R
-    # flat index (t1 + R) * (2R + 1) + (t2 + R) of each lag inside, in
-    # lexicographic order, which the stable sort keeps among equal keys
-    flat = np.flatnonzero((key > 0) & (key < bound))
-    key = key.ravel()[flat]
+        hi = _isqrt(R * R - 1 - t1 * t1)
+        need = R0 * R0 - t1 * t1
+        lo = np.where(need > 0, _isqrt(np.maximum(need - 1, 0)) + 1, 0).astype(dtype)
+    np.maximum(lo, t1 == 0, out=lo)  # not the origin
+    # each row is the run -hi..-lo then the run lo..hi, or one run -hi..hi
+    # where lo = 0; runs in lexicographic order, which the stable sort keeps
+    # among equal keys
+    width = np.maximum(hi - lo + 1, 0)
+    starts = np.stack([-hi, lo], axis=1).ravel()
+    sizes = np.stack([np.where(lo == 0, 2 * hi + 1, width), np.where(lo == 0, 0, width)],
+                     axis=1).ravel()
+    ends = np.cumsum(sizes)
+    T1 = np.repeat(np.repeat(t1, 2), sizes)
+    T2 = np.arange(ends[-1] if ends.size else 0, dtype=dtype)
+    T2 += np.repeat((starts - ends + sizes).astype(dtype), sizes)
+    if norm == "sup":
+        key = np.maximum(np.abs(T1), np.abs(T2))
+    else:
+        key = T1 * T1
+        key += T2 * T2
     order = np.argsort(key, kind="stable")
-    key, flat = key[order], flat[order]
-    del order
-    lags = np.empty((flat.size, 2), np.int64)
-    np.divmod(flat, t.size, out=(lags[:, 0], lags[:, 1]))
-    lags -= R
-    return lags, key
+    lags = np.empty((order.size, 2), dtype)
+    np.take(T1, order, out=lags[:, 0])
+    np.take(T2, order, out=lags[:, 1])
+    return lags, key[order]
 
 
 def _scan(cap, threshold, window):
@@ -163,24 +190,25 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
         var = central_moment_estimate(series, (0,))
         denom = _rho_scale(math.sqrt(var * var))
     squared = dim == 2 and norm == "euclidean"
-    lags, keys, R = None, np.empty(0, np.int64), 0
+    lags, keys, R = np.empty((0, dim), np.int32), np.empty(0, np.int32), 0
 
     def annulus(m):
         nonlocal lags, keys, R
         new_rho = ()
         if m + a_N > R:
-            # the lags with norm below the old R stay a prefix of the new list
-            R = min(max(2 * R, 2 * (m + a_N)), cap + a_N)
-            old = keys.size
-            lags, keys = _lags_by_norm(R, dim, norm)
-            new = lags[old:]
+            # the list grows by the ring of norms from the old R to the new
+            R0, R = R, min(max(2 * R, 2 * (m + a_N)), cap + a_N)
+            new, new_keys = _lags_by_norm(R, dim, norm, R0)
+            lags, keys = np.concatenate([lags, new]), np.concatenate([keys, new_keys])
             if dim == 2:
                 new_rho = lag_cache.cumulants(new[:, 0], new[:, 1])
             else:
                 new_rho = autocumulants(series, new[:, 0])
             new_rho /= denom
-        lo, hi = (m * m, (m + a_N) ** 2) if squared else (m, m + a_N)
-        return np.searchsorted(keys, lo), np.searchsorted(keys, hi), new_rho
+        bounds = (m * m, (m + a_N) ** 2) if squared else (m, m + a_N)
+        # bounds of the keys' dtype: a Python int would cast all the keys
+        lo, hi = np.searchsorted(keys, np.array(bounds, keys.dtype)).tolist()
+        return lo, hi, new_rho
 
     m_hat, cap_hit, firsts, rho = _scan(cap, thr, annulus)
     if cap_hit:

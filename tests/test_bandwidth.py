@@ -27,7 +27,7 @@ from flattopspec import (
     select_bandwidth_general,
     trapezoid_window,
 )
-from flattopspec import spectra
+from flattopspec import bandwidth, spectra
 from flattopspec.spectra import BispectrumLagCache
 from lag_oracles import DirectCumulant, six_image_lag
 
@@ -125,6 +125,44 @@ class TestAnnulus:
         lags = AnnulusSpec(0.5, 2).integer_lags(2)
         assert (0, 0) not in lags
         assert (1, 0) in lags and (-1, -1) in lags
+
+
+class TestLagsByNorm:
+    """The general rule's ordered lag list, built at once or grown by rings."""
+
+    @pytest.mark.parametrize("dim,norm", [(1, "euclidean"), (1, "sup"),
+                                          (2, "euclidean"), (2, "sup")])
+    def test_one_shot_is_the_sorted_annulus(self, dim, norm):
+        for R in (0, 1, 2, 3, 7, 12):
+            lags, keys = bandwidth._lags_by_norm(R, dim, norm)
+            want = sorted(AnnulusSpec(0, R, norm).integer_lags(dim) if R else [],
+                          key=lambda tau: sort_key(tau, norm))
+            assert [tuple(t) for t in lags.tolist()] == want
+            assert keys.tolist() == [sort_key(t, norm)[0] if dim == 2 else t[0]
+                                     for t in want]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([(1, "euclidean"), (1, "sup"), (2, "euclidean"), (2, "sup")]),
+           st.lists(st.integers(0, 60), min_size=1, max_size=6))
+    def test_rings_grow_the_one_shot_list(self, case, radii):
+        # R0 = 0 < radii[0] < radii[1] < ...: the rings appended in turn are
+        # the list built at once, lags and keys, dtype too
+        dim, norm = case
+        radii = sorted(set(radii))
+        rings = [bandwidth._lags_by_norm(R, dim, norm, R0)
+                 for R0, R in zip([0, *radii], radii)]
+        lags, keys = bandwidth._lags_by_norm(radii[-1], dim, norm)
+        grown = np.concatenate([r[0] for r in rings])
+        assert grown.dtype == lags.dtype == np.int32
+        np.testing.assert_array_equal(grown, lags)
+        np.testing.assert_array_equal(np.concatenate([r[1] for r in rings]), keys)
+
+    def test_int64_where_int32_overflows(self):
+        # the ring 46340 <= norm < 46341 holds keys above 2^31 - 1
+        lags, keys = bandwidth._lags_by_norm(46341, 2, "euclidean", 46340)
+        assert lags.dtype == keys.dtype == np.int64
+        assert keys.min() == 46340 ** 2 and 2 ** 31 <= keys.max() < 46341 ** 2
+        assert ((lags ** 2).sum(axis=1) == keys).all()
 
 
 class TestLexPoints:
@@ -270,7 +308,7 @@ class TestGeneralRuleWorkingSet:
     """The order-3 rule on iid chi^2_1 series, which stop at the cap, holds a
     bounded working set: rho as one float array, orbits computed in chunks."""
 
-    @pytest.mark.parametrize("N,bound_mb", [(400, 3.0), (2000, 78.6)])
+    @pytest.mark.parametrize("N,bound_mb", [(400, 3.0), (2000, 40.0)])
     def test_tracemalloc_peak(self, N, bound_mb):
         s = generate(ModelSpec(kind="iid-chisq1", seed=0), N)
         with warnings.catch_warnings():
