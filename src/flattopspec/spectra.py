@@ -142,8 +142,9 @@ class BispectrumLagCache:
         self._table = np.zeros(1)
 
     def rho_denominator(self) -> float:
-        """C(0)^(3/2), the scale of the normalized third-order cumulant."""
-        var = float(np.dot(self._y, self._y) / self.series.n)
+        """C(0)^(3/2), the scale of the normalized third-order cumulant, with
+        C(0) bit for bit that of `central_moment_estimate`."""
+        var = float((self._y * self._y).sum() / self.series.n)
         return _rho_scale(math.sqrt((var * var) * var))
 
     def _rows(self, size: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from flattopspec import (
     ModelSpec,
     TimeSeries,
     bootstrap_threshold,
+    central_moment_estimate,
     estimate_spectrum,
     generate,
     lex_point,
@@ -322,6 +323,24 @@ class TestGeneralRuleWorkingSet:
                 tracemalloc.stop()
         assert sel.cap_hit
         assert peak <= bound_mb * 1e6
+
+
+class TestOneVariance:
+    """The order-3 rules normalize by the C(0) of `normalized_cumulant`."""
+
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
+    def test_rule_scale_is_that_of_normalized_cumulant(self, model):
+        # a cumulant divided by the rules' C(0)^(3/2) is its normalized
+        # cumulant, bit for bit, on seeds 0-9 at every lag of max(|t1|, |t2|)
+        # <= 3 (the rules' cumulants themselves multiply the three factors in
+        # another order, so they may differ from `central_moment_estimate`
+        # in the last bit)
+        lags = list(itertools.product(range(-3, 4), repeat=2))
+        for seed in range(10):
+            s = generate(ModelSpec(kind=model, seed=seed), 400)
+            denom = BispectrumLagCache(s).rho_denominator()
+            assert [central_moment_estimate(s, lag) / denom for lag in lags] == [
+                normalized_cumulant(s, lag) for lag in lags], seed
 
 
 class TestGeneralRule:
