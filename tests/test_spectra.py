@@ -1036,6 +1036,20 @@ def frequency_batches(draw, order):
     return draw(st.lists(st.sampled_from(pool), min_size=F, max_size=F))
 
 
+def check_batch_in_row_blocks(estimator, series, window, M, rows, omegas):
+    """Assert that, with `_LAG_BLOCK` set to `rows` rows of the window's
+    triangle, the estimates at `omegas` in one call are those of one call
+    per frequency, by repr; returns A, the number of row blocks and the
+    frequencies per chunk."""
+    K, size = spectra._lag_plan(window, M, series.n)[1].shape
+    A = (math.isqrt(8 * size + 1) - 1) // 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_LAG_BLOCK", rows * A)
+        batch = estimator(series, window, M, omegas)
+        assert repr(batch) == repr([estimator(series, window, M, om) for om in omegas])
+    return A, -(-A // rows), max(1, rows // ((3 if K == 1 else 6) * 2))
+
+
 class TestFrequencyBatch:
     """An estimator given a sequence of frequencies returns the list of its
     one-frequency estimates, bit for bit: value, omega, lag_cap, n_lags and
@@ -1057,6 +1071,56 @@ class TestFrequencyBatch:
         batch = estimator(s, window, M, omegas)
         assert isinstance(batch, list)
         assert repr(batch) == repr([estimator(s, window, M, om) for om in omegas])
+
+    @pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([estimate_bispectrum, bispectrum_curvature]),
+           st.sampled_from(["opt", "rpf", "skew-tent", "fading"]),
+           st.integers(2, 80), st.floats(0.3, 60.0), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 40),
+           st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                    min_size=1, max_size=40))
+    def test_bispectrum_in_row_blocks(self, estimator, name, N, M, seed, rows, omegas):
+        # blocks of `rows` rows of the triangle, so most sums span several
+        # blocks, and from 12 rows (24 at K = 6) chunks of several frequencies
+        window = {"opt": optimal_window(), "rpf": flat_top_rpf(0.51),
+                  "skew-tent": SKEW_TENT, "fading": fading_window()}[name]
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
+        check_batch_in_row_blocks(estimator, s, window, M, rows, omegas)
+
+    @pytest.mark.filterwarnings("ignore:window (skew-tent|fading)")
+    @pytest.mark.parametrize("window,M,N,rows,K", [(optimal_window(), 4.0, 61, 30, 1),
+                                                   (SKEW_TENT, 58.0, 60, 50, 6),
+                                                   (fading_window(), 9.0, 45, 25, 6)],
+                             ids=["opt", "skew-tent", "fading"])
+    def test_forty_frequencies_in_blocks_and_chunks(self, window, M, N, rows, K):
+        # A = 61, 59 and 45 in blocks of 30, 50 and 25 rows: 2 or 3 row
+        # blocks, and chunks of 5, 4 and 2 frequencies
+        s = TimeSeries(np.random.default_rng(N).standard_normal(N) ** 2)
+        omegas = [(0.37 * i - 7.0, 5.0 - 0.29 * i) for i in range(40)]
+        A, blocks, chunk = check_batch_in_row_blocks(estimate_bispectrum, s, window, M,
+                                                     rows, omegas)
+        assert window._memo["plans"][(M, N)][1].shape[0] == K
+        assert blocks > 1 and 1 < chunk < len(omegas), (A, blocks, chunk)
+
+    def test_two_hundred_frequencies_peak(self):
+        # untruncated opt at N = 600 (A = 600, K = 1): the phase tables of
+        # 200 frequencies take 5.8 MB, and the stacked products of a chunk
+        # of 18 frequencies 0.5 MB; unchunked, the products of all 200 and
+        # their E_y tables add 11.5 MB (a 22.5 MB peak; 15.6 MB one
+        # frequency at a time)
+        s = TimeSeries(np.random.default_rng(0).standard_normal(600) ** 2)
+        window = dataclasses.replace(optimal_window())
+        estimate_bispectrum(s, window, 5.0, (0.3, 0.2))
+        omegas = [(0.05 * i, 0.03 * i - 1.0) for i in range(200)]
+        tracemalloc.start()
+        try:
+            est = estimate_bispectrum(s, window, 5.0, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(est) == 200 and est[0].n_lags == 1_078_201
+        assert peak < 15e6
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(["trapezoid", "parzen"]), st.integers(1, 200),
