@@ -99,7 +99,7 @@ def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
     R) are those of [0, R0) followed by those of [R0, R)."""
     dtype = np.int32 if R * R < 2 ** 31 else np.int64
     if dim == 1:
-        t = np.arange(max(R0, 1), max(R, 1), dtype=dtype)
+        t = np.arange(max(R0, 1), R, dtype=dtype)
         return t[:, None], t
     t1 = np.arange(1 - R, R, dtype=dtype)
     # row t1 holds the t2 with lo <= |t2| <= hi
@@ -110,14 +110,13 @@ def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
         hi = _isqrt(R * R - 1 - t1 * t1)
         need = R0 * R0 - t1 * t1
         lo = np.where(need > 0, _isqrt(np.maximum(need - 1, 0)) + 1, 0).astype(dtype)
-    np.maximum(lo, t1 == 0, out=lo)  # not the origin
-    # each row is the run -hi..-lo then the run lo..hi, or one run -hi..hi
-    # where lo = 0; runs in lexicographic order, which the stable sort keeps
-    # among equal keys
-    width = np.maximum(hi - lo + 1, 0)
-    starts = np.stack([-hi, lo], axis=1).ravel()
-    sizes = np.stack([np.where(lo == 0, 2 * hi + 1, width), np.where(lo == 0, 0, width)],
-                     axis=1).ravel()
+    pos = np.maximum(lo, 1)
+    # row t1 is the run -hi..-lo then the run pos..hi, pos = max(lo, 1), in
+    # lexicographic order, which the stable sort keeps among equal keys; at
+    # t1 = 0 the first run ends at -pos, so the origin is left out
+    starts = np.stack([-hi, pos], axis=1).ravel()
+    sizes = np.stack([hi - np.where(t1 == 0, pos, lo) + 1, hi - pos + 1], axis=1).ravel()
+    np.maximum(sizes, 0, out=sizes)
     ends = np.cumsum(sizes)
     T1 = np.repeat(np.repeat(t1, 2), sizes)
     T2 = np.arange(ends[-1] if ends.size else 0, dtype=dtype)
@@ -128,10 +127,7 @@ def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
         key = T1 * T1
         key += T2 * T2
     order = np.argsort(key, kind="stable")
-    lags = np.empty((order.size, 2), dtype)
-    np.take(T1, order, out=lags[:, 0])
-    np.take(T2, order, out=lags[:, 1])
-    return lags, key[order]
+    return np.stack([T1[order], T2[order]], axis=1), key[order]
 
 
 def _scan(cap, threshold, window):
