@@ -81,53 +81,37 @@ def _log_threshold(k: float, N: int, base: float) -> float:
     return k * math.sqrt(math.log(N) / math.log(base) / N)
 
 
-def _isqrt(x):
-    """floor(sqrt(x)) of each nonnegative integer of the array x."""
-    r = np.sqrt(x).astype(x.dtype)
-    # the float root may be one off for large x
-    r -= r * r > x
-    r += (r + 1) * (r + 1) <= x
-    return r
-
-
 def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
     """Nonzero integer lags with R0 <= norm < R (positive lags in 1-D) as
     rows of an array, sorted by norm and then lexicographically, with their
     exact integer sort keys: t1^2 + t2^2 for the euclidean norm, max(|t1|,
-    |t2|) for sup, t in 1-D; int32 where the keys fit.  Those of a larger R0
-    follow those of a smaller one, so a list grows by rings: the lags of [0,
-    R) are those of [0, R0) followed by those of [R0, R)."""
-    dtype = np.int32 if R * R < 2 ** 31 else np.int64
+    |t2|) for sup, t in 1-D; int32 where the keys of the box |t1|, |t2| < R
+    fit.  Those of a larger R0 follow those of a smaller one, so a list grows
+    by rings: the lags of [0, R) are those of [0, R0) followed by those of
+    [R0, R)."""
+    dtype = np.int32 if 2 * R * R < 2 ** 31 else np.int64
     if dim == 1:
         t = np.arange(max(R0, 1), R, dtype=dtype)
         return t[:, None], t
-    t1 = np.arange(1 - R, R, dtype=dtype)
-    # row t1 holds the t2 with lo <= |t2| <= hi
+    t = np.arange(1 - R, R, dtype=dtype)
     if norm == "sup":
-        hi = np.full(t1.size, R - 1, dtype)
-        lo = np.where(np.abs(t1) >= R0, 0, R0).astype(dtype)
+        key, lo, hi = np.maximum.outer(np.abs(t), np.abs(t)), R0, R
     else:
-        hi = _isqrt(R * R - 1 - t1 * t1)
-        need = R0 * R0 - t1 * t1
-        lo = np.where(need > 0, _isqrt(np.maximum(need - 1, 0)) + 1, 0).astype(dtype)
-    pos = np.maximum(lo, 1)
-    # row t1 is the run -hi..-lo then the run pos..hi, pos = max(lo, 1), in
-    # lexicographic order, which the stable sort keeps among equal keys; at
-    # t1 = 0 the first run ends at -pos, so the origin is left out
-    starts = np.stack([-hi, pos], axis=1).ravel()
-    sizes = np.stack([hi - np.where(t1 == 0, pos, lo) + 1, hi - pos + 1], axis=1).ravel()
-    np.maximum(sizes, 0, out=sizes)
-    ends = np.cumsum(sizes)
-    T1 = np.repeat(np.repeat(t1, 2), sizes)
-    T2 = np.arange(ends[-1] if ends.size else 0, dtype=dtype)
-    T2 += np.repeat((starts - ends + sizes).astype(dtype), sizes)
-    if norm == "sup":
-        key = np.maximum(np.abs(T1), np.abs(T2))
-    else:
-        key = T1 * T1
-        key += T2 * T2
+        key, lo, hi = np.add.outer(t * t, t * t), R0 * R0, R * R
+    # flat index (t1 + R - 1) * (2R - 1) + (t2 + R - 1) of each lag of the
+    # ring, in lexicographic order, which the stable sort keeps among equal keys
+    inside = key >= max(lo, 1)
+    inside &= key < hi
+    flat = np.flatnonzero(inside)
+    del inside
+    key = key.ravel()[flat]
     order = np.argsort(key, kind="stable")
-    return np.stack([T1[order], T2[order]], axis=1), key[order]
+    key, flat = key[order], flat[order]
+    del order
+    lags = np.empty((flat.size, 2), dtype)
+    np.divmod(flat, t.size, out=(lags[:, 0], lags[:, 1]))
+    lags += 1 - R
+    return lags, key
 
 
 def _scan(cap, threshold, window):

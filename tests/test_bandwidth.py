@@ -158,13 +158,6 @@ class TestLagsByNorm:
         np.testing.assert_array_equal(grown, lags)
         np.testing.assert_array_equal(np.concatenate([r[1] for r in rings]), keys)
 
-    def test_int64_where_int32_overflows(self):
-        # the ring 46340 <= norm < 46341 holds keys above 2^31 - 1
-        lags, keys = bandwidth._lags_by_norm(46341, 2, "euclidean", 46340)
-        assert lags.dtype == keys.dtype == np.int64
-        assert keys.min() == 46340 ** 2 and 2 ** 31 <= keys.max() < 46341 ** 2
-        assert ((lags ** 2).sum(axis=1) == keys).all()
-
 
 class TestLexPoints:
     def test_printed_values(self):
