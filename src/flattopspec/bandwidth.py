@@ -227,9 +227,10 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     The bandwidth is floor(i / b) with i the first coordinate of P_{m_hat},
     so b = c = 0.51 yields only odd integers and b = 0.5 only even ones.
     The scan starts at P_2, so P_1 = (1,0) is never examined for m >= 1 and
-    k1 has no effect (it is kept in `thresholds`).  Rho at each growth of the
-    point list comes from one `BispectrumLagCache.cumulants` lookup; the
-    trace lists every (point, rho) seen.
+    k1 has no effect (it is kept in `thresholds`).  The points are the
+    orbits of `BispectrumLagCache.triangle` with 0 < b < a, in its packed
+    order, so rho at each growth of the point list is one read of the
+    store's rows; the trace lists every (point, rho) seen.
     """
     if k1 <= 0 or k2 <= 0 or L < 1 or not 0 < b <= 1:
         raise ValueError("need k1, k2 > 0, L >= 1, b in (0, 1]")
@@ -247,12 +248,19 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
         nonlocal size
         new_rho = ()
         if m + L > size:
-            new = [lex_point(n) for n in range(
-                size + 1, min(max(2 * size, m + L), cap + L) + 1)]
-            size += len(new)
-            T1, T2 = np.array(new).T
-            new_rho = cache.cumulants(T1, T2)
-            new_rho /= denom
+            count = min(max(2 * size, m + L), cap + L)
+            # P_1 = (1, 0), then the orbits 0 < b < a of the store's rows in
+            # packed order, which is lexicographic; rho is 0 at rows a >= N
+            A = min(lex_point(count)[0] + 1, N)
+            tri = cache.triangle(A)
+            row = np.arange(A)
+            keep = np.ones(tri.size, bool)
+            keep[row * (row + 1) // 2] = False  # b = 0
+            keep[row * (row + 3) // 2] = False  # b = a
+            keep[1:2] = True
+            new_rho = tri[keep][size:count] / denom
+            new_rho = np.pad(new_rho, (0, count - size - new_rho.size))
+            size = count
         return m, m + L, new_rho
 
     m_hat, cap_hit, firsts, rho = _scan(cap, thr, points)

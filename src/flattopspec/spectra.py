@@ -5,9 +5,9 @@ at (M, N), the lags of its support box (`support_radius * M`, capped at
 N - 1) where it is nonzero, with the weights there, memoized on the window.
 An estimator reads its lag terms once for all the frequencies it is given.
 A third-order sample cumulant is computed once per orbit of the six cumulant
-symmetries into one store, a packed triangle indexed by the representative
-(a, b), a >= b >= 0; order-3 plans are laid out on it, and both selection
-rules read it through one lookup, many lags at once.
+symmetries into one store, the rows a < A of a packed triangle indexed by
+the representative (a, b), a >= b >= 0; order-3 plans are laid out on it,
+and the selection rules read it through one lookup, many lags at once.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ _TWO_PI = 2.0 * math.pi
 
 # points per block of rows of a in `_frequency_sum`
 _LAG_BLOCK = 1 << 16
-# lags or orbits per block in `_orbit_index`, plans and `triangle`: int64
+# lags or orbits per block in `_orbit_index` and plans: int64
 # temporaries of 64 KB stay below glibc's mmap threshold, so no block faults
 # in fresh pages (the index of 42,841 lags: 235-290 us, 260-620 at 1 << 16)
 _INDEX_BLOCK = 8192
@@ -88,20 +88,16 @@ def _orbit_index(T1, T2, N: int) -> np.ndarray:
     return index
 
 
-def _orbit_lags(index):
-    """The representative (a, b) at each packed index: the inverse of
-    `_orbit_index` where a < N."""
-    a = ((np.sqrt(8.0 * index + 1.0) - 1.0) // 2.0).astype(np.int64)
-    # the float root may be one off for large indices
-    a -= a * (a + 1) // 2 > index
-    a += (a + 1) * (a + 2) // 2 <= index
-    return a, index - a * (a + 1) // 2
+def _row_orbits(A0: int, A: int):
+    """The representatives (a, b) of the orbits of rows A0 <= a < A of the
+    triangle, in packed order: the inverse of `_orbit_index` on them."""
+    a = np.repeat(np.arange(A0, A), np.arange(A0 + 1, A + 1))
+    return a, np.arange(a.size) - (a * (a + 1) - A0 * (A0 + 1)) // 2
 
 
-# bytes of the y_b rows, the one factor gathered, in a chunk of
-# `BispectrumLagCache._compute_orbits`.  Of 128, 256, 512 and 1000 KB, 512 KB
-# was fastest on the orbits of the order-3 selection rule at its cap on iid
-# series at N = 2000, and tied with 256 KB at N = 400.
+# bytes of a tile's products of one row in `BispectrumLagCache._compute_rows`,
+# a tile of T = _ROW_CHUNK_BYTES // 8N rows: of T = 16 to 96, 32 to 64 were
+# fastest on the rows the order-3 rule reads at its cap on iid series, N = 2000
 _ROW_CHUNK_BYTES = 512_000
 
 
@@ -129,12 +125,11 @@ class BispectrumLagCache:
     """Third-order sample cumulants of one series, one value per orbit of six
     lag pairs under the cumulant symmetries.
 
-    One kernel, `_compute_orbits`, computes every value, each orbit once per
-    cache, into one store: a packed lower triangle of float64 with the orbit
-    of representative (a, b), a >= b >= 0, at a(a + 1)/2 + b, grown by rows,
-    NaN where not yet computed, then one 0.0 for every orbit with a >= N.
-    `cumulants` reads a whole array of lags, and `triangle` the rows a < A.
-    """
+    The store is the rows a < A computed so far of a packed lower triangle
+    of float64, the orbit of representative (a, b), a >= b >= 0, at a(a +
+    1)/2 + b, then one 0.0 that every orbit with a >= N reads.  `triangle`
+    computes the rows it lacks in one call of `_compute_rows`, so each row
+    once per cache; `cumulants` reads a whole array of lags through it."""
 
     def __init__(self, series: TimeSeries):
         self.series = series
@@ -147,67 +142,60 @@ class BispectrumLagCache:
         var = float((self._y * self._y).sum() / self.series.n)
         return _rho_scale(math.sqrt((var * var) * var))
 
-    def _rows(self, size: int) -> np.ndarray:
-        """The table, grown by rows, if need be, to hold index size - 1."""
-        table = self._table
-        if size >= table.size:
-            rows = (math.isqrt(8 * size - 7) - 1) // 2 + 1  # up to that of size - 1
-            grown = np.full(rows * (rows + 1) // 2 + 1, np.nan)
-            grown[:table.size - 1] = table[:-1]
-            grown[-1] = 0.0
-            self._table = table = grown
-        return table
-
     def cumulants(self, T1, T2) -> np.ndarray:
         """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
-        a float array: one gather from the table, index -1 (a >= N) reading
-        the trailing 0.0.  The orbits read as NaN are found with a scatter
-        mask, so in (a, b) order, computed in one call and gathered again."""
+        a float array: the rows up to the largest a asked, then one gather
+        from the store, index -1 (a >= N) reading its trailing 0.0."""
         index = _orbit_index(T1, T2, self.series.n)
-        table = self._rows(int(index.max(initial=-1)) + 1)
-        values = table[index]
-        missing = np.isnan(values)
-        if missing.any():
-            asked = np.zeros(table.size, bool)
-            asked[index[missing]] = True
-            new = np.flatnonzero(asked)
-            table[new] = self._compute_orbits(*_orbit_lags(new))
-            table.take(index, out=values)
-        return values
+        last = int(index.max(initial=-1))
+        self.triangle((math.isqrt(8 * last + 1) + 1) // 2 if last >= 0 else 0)
+        return self._table[index]
 
     def triangle(self, A: int) -> np.ndarray:
         """The cumulants of the orbits a < A <= N in packed order, a view of
-        the table, computing those not yet computed a block at a time."""
+        the store, computing the rows it lacks first."""
         size = A * (A + 1) // 2
-        values = self._rows(size)[:size]
-        for lo in range(0, size, _INDEX_BLOCK):
-            new = np.flatnonzero(np.isnan(values[lo:lo + _INDEX_BLOCK]))
-            if new.size:
-                new += lo
-                values[new] = self._compute_orbits(*_orbit_lags(new))
-        return values
+        table = self._table
+        if size >= table.size:
+            A0 = (math.isqrt(8 * table.size - 7) - 1) // 2  # the rows computed
+            self._table = table = np.concatenate(
+                [table[:-1], self._compute_rows(A0, A), [0.0]])
+        return table[:size]
 
-    def _compute_orbits(self, t1, t2) -> np.ndarray:
-        """The sample cumulant at each representative (t1[i], t2[i]), given in
-        (t1, t2) order with N > t1 >= t2 >= 0: the sum over i of y[i] y[i +
-        t1] y[i + t2] / N, that is the n = N - t1 terms of (y[t1:] * y[t2:t2 +
-        n]) * y[:n].  The orbits of one t1 are a run and share y[t1:] and
-        y[:n]; only their y[t2:t2 + n] rows are gathered, a chunk at a time."""
+    def _compute_rows(self, A0: int, A: int) -> np.ndarray:
+        """The sample cumulants of the orbits of rows A0 <= a < A <= N in
+        packed order.  Orbit (a, b) is the sum over i of y[i + b] y[i + a]
+        y[i] / N, that is the n = N - a terms of (y[b:b + n] * y[a:]) *
+        y[:n].  The products y[j] y[j + d] serve every orbit on the diagonal
+        d = a - b, so the rows are cut into tiles of T rows by T columns b:
+        the products of a tile's diagonals are formed once, and its orbits of
+        one row are a strided view of them, times y[:n], summed by row."""
         y, N = self._y, self.series.n
-        # row s of `windows` is y[s:s + N], zero past the end of the series
-        windows = sliding_window_view(np.concatenate([y, np.zeros(N - 1)]), N)
-        sums = np.empty(t1.size)
-        edges = (np.flatnonzero(np.diff(t1)) + 1).tolist()
-        for lo, hi in zip([0, *edges], [*edges, t1.size]):
-            n = N - int(t1[lo])
-            rows = windows[:, :n]
-            step = max(1, _ROW_CHUNK_BYTES // (8 * n))
-            for i in range(lo, hi, step):
-                j = min(i + step, hi)
-                prod = rows[t2[i:j]]
-                prod *= y[N - n:]  # y_b * y_a, which equals y_a * y_b
-                prod *= y[:n]
-                prod.sum(axis=1, out=sums[i:j])
+        T = min(max(1, _ROW_CHUNK_BYTES // (8 * N)), A)
+        # row s of `windows` is y[s:s + N - A0 + T - 1], padded past the end
+        # of the series; no orbit reads the padding
+        windows = sliding_window_view(np.concatenate([y, np.zeros(A - A0 + T)]),
+                                      N - A0 + T - 1)
+        diag, prod = np.empty(2 * T * (N - A0 + T)), np.empty(T * N)
+        sums = np.empty((A - A0) * (A + A0 + 1) // 2)
+        first = A0 * (A0 + 1) // 2
+        for a0 in range(A0, A, T):
+            a1 = min(a0 + T, A)
+            for b0 in range(0, a1, T):
+                # P[k, m] is y[j] y[j + d] at j = b0 + m, d = d1 - k
+                d0, d1, width = max(0, a0 - b0 - T + 1), a1 - 1 - b0, N - a0 + T - 1
+                P = diag[:(d1 - d0 + 1) * width].reshape(-1, width)
+                np.multiply(windows[b0 + d0:b0 + d1 + 1, :width][::-1],
+                            windows[b0, :width], out=P)
+                for a in range(max(a0, b0), a1):
+                    n, nb = N - a, min(T, a + 1 - b0)
+                    # orbit (a, b0 + r) reads P[d1 - a + b0 + r, r:r + n]
+                    rows = np.ndarray((nb, n), buffer=diag, offset=8 * width * (d1 - a + b0),
+                                      strides=(8 * width + 8, 8))
+                    out = prod[:nb * n].reshape(nb, n)
+                    np.multiply(rows, y[:n], out=out)
+                    k = a * (a + 1) // 2 + b0 - first
+                    out.sum(axis=1, out=sums[k:k + nb])
         sums /= N
         return sums
 
@@ -263,8 +251,10 @@ def _orbit_weights(window, M, N, L):
     K = 1 if window.symmetric else 6
     A = L + 1 if K == 1 else min(2 * L + 1, N)
     w, n_lags = np.empty((K, A * (A + 1) // 2)), 0
-    for lo in range(0, w.shape[1], _INDEX_BLOCK):
-        a, b = _orbit_lags(np.arange(lo, min(lo + _INDEX_BLOCK, w.shape[1])))
+    step = max(1, _INDEX_BLOCK // A)  # rows per block
+    for r0 in range(0, A, step):
+        a, b = _row_orbits(r0, min(r0 + step, A))
+        lo = r0 * (r0 + 1) // 2
         block = w[:, lo:lo + a.size]
         images = [(a, b)] if K == 1 else [apply_symmetry(m, a, b) for m in SYMMETRY_MAPS]
         for row, (t1, t2) in zip(block, images):
@@ -411,7 +401,7 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
     (_, w, _, _), C = _lag_terms(series, window, M, 3)
-    a, b = _orbit_lags(np.arange(C.size))
+    a, b = _row_orbits(0, (math.isqrt(8 * C.size + 1) - 1) // 2)
     tau = np.array([apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])  # (6, 2, size)
     return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega])[0][0]
 
@@ -424,6 +414,6 @@ def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
     b^2) at every image of an orbit (a, b)."""
     one, points = _frequencies(omega, 3)
     (_, w, _, _), C = _lag_terms(series, window, M, 3)
-    a, b = _orbit_lags(np.arange(C.size))
+    a, b = _row_orbits(0, (math.isqrt(8 * C.size + 1) - 1) // 2)
     sums = [val for val, _ in _frequency_sum(-(a * a - a * b + b * b) * w * C, points)]
     return sums[0] if one else sums

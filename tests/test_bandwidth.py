@@ -187,6 +187,14 @@ class TestLexPoints:
         with pytest.raises(ValueError):
             lex_point(0)
 
+    def test_interior_orbits_of_the_store_in_packed_order(self):
+        # the bispectrum rule reads P_2, P_3, ... off the store's rows as its
+        # orbits 0 < b < a, in packed order
+        a, b = spectra._row_orbits(0, 143)  # (143 - 1)(143 - 2)/2 = 10,011 points
+        inner = (0 < b) & (b < a)
+        assert [lex_point(n) for n in range(2, 10_001)] == list(
+            zip(a[inner].tolist(), b[inner].tolist()))[:9999]
+
 
 @functools.lru_cache(maxsize=None)
 def annulus_lags(m, a_N, norm, dim):

@@ -156,18 +156,18 @@ class TestLagCacheLookup:
     def test_cold_untruncated_opt_computes_orbits_in_one_call(self, monkeypatch):
         # the 3N^2 - 3N + 1 = 269,101 lags of a length-300 series where a
         # cumulant can be nonzero span 33 index blocks; their N(N + 1)/2
-        # orbits are computed in one call
+        # orbits, the rows a < N, are computed in one call
         s = TimeSeries(np.random.default_rng(0).standard_normal(300) ** 2)
         T1, T2, _ = meshgrid_lag_weights(optimal_window(), 5.0, s.n)
         assert T1.size == 269_101
         cache = BispectrumLagCache(s)
-        computed = spy_on_orbits(cache, monkeypatch)
         calls = []
-        compute = cache._compute_orbits
-        monkeypatch.setattr(cache, "_compute_orbits",
-                            lambda t1, t2: calls.append(t1.size) or compute(t1, t2))
+        compute = cache._compute_rows
+        monkeypatch.setattr(cache, "_compute_rows",
+                            lambda A0, A: calls.append((A0, A)) or compute(A0, A))
+        computed = spy_on_orbits(cache, monkeypatch)
         cold = cache.cumulants(T1, T2)
-        assert calls == [300 * 301 // 2]
+        assert calls == [(0, 300)]
         assert sorted(computed) == orbits_below(T1, T2, s.n)
         assert cache.cumulants(T1, T2).tolist() == cold.tolist()
         assert len(calls) == 1
@@ -191,11 +191,16 @@ class TestLagCacheLookup:
 
 
 def spy_on_orbits(cache, monkeypatch):
-    """The list of representatives `cache` computes from now on."""
+    """The list of representatives `cache` computes from now on: those of the
+    rows of each call of its kernel."""
     computed = []
-    compute = cache._compute_orbits
-    monkeypatch.setattr(cache, "_compute_orbits", lambda t1, t2: computed.extend(
-        zip(t1.tolist(), t2.tolist())) or compute(t1, t2))
+    compute = cache._compute_rows
+
+    def spy(A0, A):
+        computed.extend((a, b) for a in range(A0, A) for b in range(a + 1))
+        return compute(A0, A)
+
+    monkeypatch.setattr(cache, "_compute_rows", spy)
     return computed
 
 
@@ -203,6 +208,12 @@ def orbits_below(T1, T2, N):
     """The sorted representatives (a, b) of the lags with a < N."""
     return sorted({rep for rep in map(six_image_lag, T1.tolist(), T2.tolist())
                    if rep[0] < N})
+
+
+def unpack(k):
+    """The representative (a, b) at packed index k, exactly."""
+    a = (math.isqrt(8 * k + 1) - 1) // 2
+    return a, k - a * (a + 1) // 2
 
 
 def packed_index(t1, t2, N):
@@ -233,10 +244,13 @@ class TestOrbitCodes:
         assert (got == -1).any()
 
     def test_representatives_have_t1_at_least_t2_at_least_zero(self):
-        # `_compute_orbits` relies on it: alpha = 0 and n = N - t1
+        # `_compute_rows` relies on it: alpha = 0 and n = N - t1
         ax = np.arange(-300, 301)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        t1, t2 = spectra._orbit_lags(spectra._orbit_index(T1, T2, 601))
+        index = spectra._orbit_index(T1, T2, 601)
+        assert np.all(index >= 0) and np.all(index < 601 * 602 // 2)
+        a, b = spectra._row_orbits(0, 601)
+        t1, t2 = a[index], b[index]
         assert np.all(t1 >= t2) and np.all(t2 >= 0) and np.all(t1 < 601)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -249,19 +263,32 @@ class TestOrbitCodes:
         index = spectra._orbit_index(T1, T2, N)
         assert index.tolist() == [packed_index(*lag, N) for lag in lags]
         inside = index >= 0
-        t1, t2 = spectra._orbit_lags(index[inside])
-        assert list(zip(t1.tolist(), t2.tolist())) == [
+        assert [unpack(k) for k in index[inside].tolist()] == [
             six_image_lag(*lag) for lag, keep in zip(lags, inside) if keep]
 
     def test_order_as_the_lag_tuples(self):
         # the representatives of a < R, in (a, b) order, are 0, 1, 2, ...:
-        # so a scatter mask over the table lists orbits in runs of equal a
+        # so the store's rows are a prefix of the packed triangle
         R = 60
         reps = [(a, b) for a in range(R) for b in range(a + 1)]
         a, b = np.array(reps).T
         index = spectra._orbit_index(a, b, R)
         assert index.tolist() == list(range(R * (R + 1) // 2))
-        assert list(zip(*(t.tolist() for t in spectra._orbit_lags(index)))) == reps
+        assert list(zip(*(t.tolist() for t in spectra._row_orbits(0, R)))) == reps
+
+    def test_rows_map_onto_the_packed_range(self):
+        # rows A0 <= a < A of the enumeration land, through `_orbit_index`,
+        # on A0(A0 + 1)/2 .. A(A + 1)/2 - 1 in order: for every A <= 2000 on
+        # its last row and last three rows, for A <= 200 on all its rows, and
+        # on the whole triangle of N = 2000
+        def packed(A0, A, N):
+            return spectra._orbit_index(*spectra._row_orbits(A0, A), N)
+
+        for A in range(1, 2001):
+            for A0 in {A - 1, max(0, A - 3)} | ({0} if A <= 200 else set()):
+                assert np.array_equal(packed(A0, A, A),
+                                      np.arange(A0 * (A0 + 1) // 2, A * (A + 1) // 2))
+        assert np.array_equal(packed(0, 2000, 2000), np.arange(2000 * 2001 // 2))
 
 
 @st.composite
@@ -322,14 +349,22 @@ class TestLagCacheBatch:
             assert got == [oracle(*six_image_lag(a, b)) for a, b in batch]
 
     def test_each_orbit_computed_once(self, series, monkeypatch):
-        # every a < N here
+        # the store is a prefix of whole rows: after each lookup every orbit
+        # of a row a <= the largest a asked so far has been computed once,
+        # and none of a row a >= N (N = 40; lags up to 45 reach a = 90)
         cache = BispectrumLagCache(series)
         computed = spy_on_orbits(cache, monkeypatch)
         ax = np.arange(-12, 13)
         T1, T2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
-        for half in (slice(0, 300), slice(300, None), slice(None)):
-            cache.cumulants(T1[half], T2[half])
-        assert sorted(computed) == orbits_below(T1, T2, series.n)
+        ax = np.arange(-45, 46)
+        F1, F2 = (T.ravel() for T in np.meshgrid(ax, ax, indexing="ij"))
+        top = -1
+        for U1, U2 in ((T1[:300], T2[:300]), (T1[300:], T2[300:]), (T1, T2),
+                       (F1[:10], F2[:10]), (F1, F2), (T1, T2)):
+            cache.cumulants(U1, U2)
+            top = max([top] + [a for a, _ in orbits_below(U1, U2, series.n)])
+            assert computed == [(a, b) for a in range(top + 1) for b in range(a + 1)]
+        assert top == series.n - 1
 
     def test_empty_input(self, series):
         got = BispectrumLagCache(series).cumulants(np.array([], int), np.array([], int))
@@ -349,10 +384,10 @@ class TestLagCacheBatch:
 
     @pytest.mark.parametrize("chunk_bytes", [8, 800, 4000])
     def test_runs_spanning_several_chunks(self, monkeypatch, chunk_bytes):
-        # at N = 120 the run of t1 holds t1 + 1 orbits, and a chunk of b
-        # bytes max(1, b // (8 n)) rows of n = 120 - t1 values: one row at
-        # 8 bytes, one to 100 at 800 and 4 to 500 at 4000, so runs of up to
-        # 120 orbits span many chunks, full and partial
+        # at N = 120 row a of the triangle holds a + 1 orbits, and a tile of
+        # c bytes max(1, c // 960) rows and columns: one at 8 and 800 bytes
+        # and 4 at 4000, so rows of up to 120 orbits span many tiles, full
+        # and partial
         monkeypatch.setattr(spectra, "_ROW_CHUNK_BYTES", chunk_bytes)
         s = TimeSeries(np.random.default_rng(7).standard_normal(120) ** 2)
         ax = np.arange(-125, 126)
