@@ -16,6 +16,7 @@ from .exceptions import DegenerateSeriesError, OrderError
 
 __all__ = [
     "TimeSeries",
+    "canonical_lag",
     "central_moment_estimate",
     "joint_cumulant_estimate",
     "normalized_cumulant",
@@ -77,30 +78,40 @@ def _check_lags(lags) -> tuple:
     return taus
 
 
+def canonical_lag(t1: int, t2: int):
+    """Representative of the orbit of a lag pair under the six third-order
+    cumulant symmetries: (max - min, mid - min) of {0, t1, t2}, the image
+    with t1 >= t2 >= 0 and the largest of the six in tuple order."""
+    if t1 < t2:
+        t1, t2 = t2, t1
+    if t2 >= 0:
+        return t1, t2
+    if t1 <= 0:
+        return -t2, t1 - t2
+    return t1 - t2, -t2
+
+
 def central_moment_estimate(series: TimeSeries, lags) -> float:
     """Mean-centered product estimate of the order-s cumulant, s in {2, 3}.
 
     `lags` holds tau_1..tau_{s-1}; the final lag is implicitly zero.  The
     estimate is (1/N) sum_t prod_j (x_{t-alpha+tau_j} - xbar), and exactly 0
-    whenever the sum is empty (any lag magnitude >= N).
+    whenever the sum is empty (any lag magnitude >= N).  With the lags
+    reduced to a >= b >= 0, |tau| at order 2 and `canonical_lag` at order 3,
+    it sums the n = N - a terms of y[:n] * y[a:], or of (y[b:b + n] *
+    y[a:]) * y[:n], as the cumulant store does: so the symmetry relations
+    hold bit-exactly.
     """
-    taus = _check_lags(lags) + (0,)
-    s = len(taus)
-    if s not in (2, 3):
-        raise OrderError(f"central-moment estimator supports orders 2-3, got {s}")
-    N = series.n
-    alpha = min(taus)
-    gamma = max(taus) - alpha
-    n_terms = N - gamma
-    if n_terms < 1:
+    taus = _check_lags(lags)
+    if len(taus) > 2:
+        raise OrderError(f"central-moment estimator supports orders 2-3, got {len(taus) + 1}")
+    a, b = canonical_lag(*taus) if len(taus) == 2 else (abs(taus[0]), 0)
+    n = series.n - a
+    if n < 1:
         return 0.0
     y = series.centered()
-    prod = np.ones(n_terms)
-    # multiply in sorted lag order so the symmetry relations hold bit-exactly
-    for tau in sorted(taus):
-        off = tau - alpha
-        prod = prod * y[off:off + n_terms]
-    return float(prod.sum() / N)
+    prod = y[:n] * y[a:] if len(taus) == 1 else (y[b:b + n] * y[a:]) * y[:n]
+    return float(prod.sum() / series.n)
 
 
 def _block_moment(series: TimeSeries, taus, block) -> float:

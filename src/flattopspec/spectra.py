@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, _rho_scale
+from .cumulants import TimeSeries, _rho_scale, canonical_lag
 from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry, evaluate_blockwise
 
 __all__ = [
@@ -47,19 +47,6 @@ _PLAN_MEMO = 8  # plans kept per window, the least recently used dropped first
 def canonical_frequency(w: float) -> float:
     """Reduce a frequency to [-pi, pi); keeps integer-lag sums exactly periodic."""
     return float((w + math.pi) % _TWO_PI - math.pi)
-
-
-def canonical_lag(t1: int, t2: int):
-    """Representative of the orbit of a lag pair under the six third-order
-    cumulant symmetries: (max - min, mid - min) of {0, t1, t2}, the image
-    with t1 >= t2 >= 0 and the largest of the six in tuple order."""
-    if t1 < t2:
-        t1, t2 = t2, t1
-    if t2 >= 0:
-        return t1, t2
-    if t1 <= 0:
-        return -t2, t1 - t2
-    return t1 - t2, -t2
 
 
 def _orbit_index(T1, T2, N: int) -> np.ndarray:

@@ -333,15 +333,26 @@ class TestOneVariance:
     def test_rule_scale_is_that_of_normalized_cumulant(self, model):
         # a cumulant divided by the rules' C(0)^(3/2) is its normalized
         # cumulant, bit for bit, on seeds 0-9 at every lag of max(|t1|, |t2|)
-        # <= 3 (the rules' cumulants themselves multiply the three factors in
-        # another order, so they may differ from `central_moment_estimate`
-        # in the last bit)
+        # <= 3
         lags = list(itertools.product(range(-3, 4), repeat=2))
         for seed in range(10):
             s = generate(ModelSpec(kind=model, seed=seed), 400)
             denom = BispectrumLagCache(s).rho_denominator()
             assert [central_moment_estimate(s, lag) / denom for lag in lags] == [
                 normalized_cumulant(s, lag) for lag in lags], seed
+
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
+    def test_rules_rho_is_normalized_cumulant(self, model):
+        # the rules' rho, a store cumulant over `rho_denominator`, is
+        # `normalized_cumulant` bit for bit: both multiply the three factors
+        # in one order, on seeds 0-9 at every lag of max(|t1|, |t2|) <= 4
+        lags = list(itertools.product(range(-4, 5), repeat=2))
+        T1, T2 = np.array(lags).T
+        for seed in range(10):
+            s = generate(ModelSpec(kind=model, seed=seed), 400)
+            cache = BispectrumLagCache(s)
+            rho = cache.cumulants(T1, T2) / cache.rho_denominator()
+            assert rho.tolist() == [normalized_cumulant(s, lag) for lag in lags], seed
 
 
 class TestGeneralRule:
