@@ -11,10 +11,12 @@ output, the private keys too: a series as the bytes of its values, and a
 dataclass (a `BandwidthSelection`) as its fields.  The `estimate` lines
 digest the exit code and stdout of `flattopspec estimate` at orders 2 and 3,
 with a fixed and an automatic bandwidth, and once with untruncated `opt`.
-The last line digests the exit code and the CSV and JSON tables of one
-`flattopspec study --bandwidth auto --calibrate` run at R=2, the path of the
-bootstrap-calibrated selection rule.  Equal digests on two commits mean
-bit-identical outputs.
+The `study-calibrated` line digests the exit code and the CSV and JSON tables
+of one `flattopspec study --bandwidth auto --calibrate` run at R=2, the path
+of the bootstrap-calibrated selection rule.  The last line digests m_hat,
+`cap_hit` and the trace of the order-3 general rule on an iid chi^2_1 series
+at N=2000, seed 0, which stops at its cap: the one stall no workload times.
+Equal digests on two commits mean bit-identical outputs.
 
 Then every op runs a second time in the same process, in reverse order, and
 the script exits 1, naming on stderr each op whose two digests differ: no
@@ -158,6 +160,16 @@ def run_study(args, workdir):
     return [code, rows, json.loads(json_text)], f"{code}\n{csv_text}\n{json_text}"
 
 
+def run_general_at_cap():
+    """(output, digested text) of the order-3 general rule at its cap."""
+    series = flattopspec.generate(flattopspec.ModelSpec(kind="iid-chisq1", seed=0), 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the selection at its cap warns
+        sel = flattopspec.select_bandwidth_general(series, order=3)
+    out = [sel.m_hat, sel.cap_hit, sel.trace]
+    return out, repr(encode(out))
+
+
 def ops(workdir):
     """(label, op) of every op, in the order printed; op() returns the
     output and the digested text."""
@@ -167,6 +179,7 @@ def ops(workdir):
     for i, args in enumerate(ESTIMATES):
         yield f"estimate {i}", partial(run_estimate, args)
     yield "study-calibrated 0", partial(run_study, CALIBRATED_STUDY, workdir)
+    yield "general-cap 0", run_general_at_cap
 
 
 def digest(text):
