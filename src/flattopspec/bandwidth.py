@@ -369,10 +369,12 @@ def _flat_top_pilots(series, c, k2d=2.0, k3d=2.0):
     # both pilot bandwidths come from the general selection rule (1-D and
     # 2-D annuli respectively), giving real-valued M = m / b; the thresholds
     # default to k = 2, and callers that calibrate pass bootstrap ones, since
-    # the fluctuation scale of higher-order cumulants is model-dependent
+    # the fluctuation scale of higher-order cumulants is model-dependent;
+    # last, whether either rule stopped at its cap
     sel2 = select_bandwidth_general(series, order=2, k=k2d, b=c)
     sel3 = select_bandwidth_general(series, order=3, k=k3d, b=c)
-    return trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0)
+    return (trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0),
+            sel2.cap_hit or sel3.cap_hit)
 
 
 def _second_order_pilots(series):
@@ -381,7 +383,7 @@ def _second_order_pilots(series):
     M2 = max(float(math.floor(N ** 0.2)), 1.0)
     bisp_win = optimal_window(opt_truncation_radius(1e-3))
     M3 = max(float(math.floor(N ** (1.0 / 6.0))), 1.0)
-    return spec_win, M2, bisp_win, M3
+    return spec_win, M2, bisp_win, M3, False
 
 
 def plugin_formula(N, l2_norm, spectrum_product, window_d2, curvature, cap):
@@ -430,11 +432,12 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
 
 def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     """`plugin_bandwidth` at the (w1, w2) pairs of `omegas`, given its pilot
-    windows and bandwidths (spectrum window, M2, bispectrum window, M3).
-    Each pilot is one estimator call for all the pairs."""
+    windows and bandwidths (spectrum window, M2, bispectrum window, M3, and
+    whether a pilot rule stopped at its cap).  Each pilot is one estimator
+    call for all the pairs."""
     N = series.n
     cap = N / 4.0 if cap is None else cap
-    spec_win, M2, bisp_win, M3 = pilots
+    spec_win, M2, bisp_win, M3, _ = pilots
     pairs = np.asarray(omegas, float).tolist()
     # the pilot spectrum at w1, w2 and w1 + w2 of each pair, a negative
     # estimate clamped to 0

@@ -236,11 +236,16 @@ PROCEDURES = ("a", "b", "c", "d", "e")
 
 @dataclass
 class ProcedureResult:
+    """One procedure's bandwidths by replication, and whether each stopped at
+    a search cap: the selection rule's for (a), either flat-top pilot rule's
+    for (b) and (c); the second-order pilots of (d) and (e) have none."""
+
     procedure: str
     model: str
     n: int
     bandwidths: np.ndarray
     M_true: float
+    cap_hits: np.ndarray
 
     @property
     def histogram(self) -> dict:
@@ -277,7 +282,8 @@ _PLUGIN_PROCEDURES = {
 
 
 def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
-    """Bandwidth of each procedure on one series.  With `calibrate`, two
+    """Bandwidth of each procedure on one series, and whether a rule it ran
+    stopped at its cap.  With `calibrate`, two
     bootstraps are drawn, seeded rep_seed and + 1: the first serves the
     flat-top pilots' 1-D threshold, the second procedure (a)'s k2 and the
     pilots' 2-D threshold; without, every threshold is the default k."""
@@ -288,7 +294,7 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
     ks = _bootstrap_ks(series, draws, rep_seed)
     chosen = {}
     if a:
-        chosen["a"] = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))[0]
+        chosen["a"] = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:
@@ -296,7 +302,7 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
                       if pilot == "flat-top" else _second_order_pilots(series))
             sels = _plugin_selections(window, series, [points[p] for p in group],
                                       pilot, pilots)
-            chosen.update((p, sel.M_hat) for p, sel in zip(group, sels))
+            chosen.update((p, (sel.M_hat, pilots[-1])) for p, sel in zip(group, sels))
     return chosen
 
 
@@ -309,7 +315,8 @@ def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
     Procedure (a) is the bispectrum selection rule; (b)/(c) the plug-in at
     the origin / at (2,1) with flat-top pilots; (d)/(e) the same points
     with second-order pilots.  `M_true` may be a number or a dict keyed by
-    model kind.
+    model kind.  Each result's `cap_hits` marks the replications whose
+    selection rule or flat-top pilot rule stopped at its search cap.
     """
     unknown = sorted(set(procedures) - set(PROCEDURES))
     if unknown:
@@ -322,16 +329,17 @@ def bandwidth_histogram_study(models, N_list=(200, 2000), R=100,
         target = M_true[spec.kind] if isinstance(M_true, dict) else float(M_true)
         for N in N_list:
             chosen = {p: np.zeros(R) for p in procedures}
+            at_cap = {p: np.zeros(R, bool) for p in procedures}
             for rep in range(R):
                 series = generate(spec, N, replication=rep)
                 found = _procedure_bandwidths(procedures, series, window, c,
                                               calibrate, rep_seed=2 * rep)
                 for p in procedures:
-                    chosen[p][rep] = found[p]
+                    chosen[p][rep], at_cap[p][rep] = found[p]
             for p in procedures:
                 results.append(ProcedureResult(
                     procedure=p, model=spec.kind, n=N,
-                    bandwidths=chosen[p], M_true=target))
+                    bandwidths=chosen[p], M_true=target, cap_hits=at_cap[p]))
     return results
 
 

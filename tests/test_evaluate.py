@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -282,6 +283,31 @@ class TestHistogramStudy:
                                       calibrate=True)
             assert draws == [(lags, 2 * rep + i) for rep in range(2)
                              for i, lags in enumerate(per_rep) if lags], procedures
+
+    def test_cap_hits_per_replication(self, monkeypatch):
+        # stubbed rules stop at their cap on replications 0 and 2 of 3: the
+        # selection rule of (a) on both, the order-2 flat-top pilot rule on 0
+        # and the order-3 one on 2; the second-order pilots have no cap
+        calls = {}
+
+        def at_cap_on(real, reps):
+            # reps: the replications at the cap, by the rule's order
+            def stub(series, *args, **kwargs):
+                order = kwargs.get("order", 3)
+                rep = calls[real, order] = calls.get((real, order), -1) + 1
+                return dataclasses.replace(real(series, *args, **kwargs),
+                                           cap_hit=rep in reps[order])
+            return stub
+
+        monkeypatch.setattr(evaluate, "select_bandwidth_bispectrum", at_cap_on(
+            evaluate.select_bandwidth_bispectrum, {3: {0, 2}}))
+        monkeypatch.setattr(bandwidth, "select_bandwidth_general", at_cap_on(
+            bandwidth.select_bandwidth_general, {2: {0}, 3: {2}}))
+        results = bandwidth_histogram_study([ModelSpec("arma11", seed=14)], N_list=(200,),
+                                            R=3)
+        assert {r.procedure: r.cap_hits.tolist() for r in results} == {
+            "a": [True, False, True], "b": [True, False, True], "c": [True, False, True],
+            "d": [False, False, False], "e": [False, False, False]}
 
     def test_unknown_procedure_rejected(self):
         with pytest.raises(ValueError, match="unknown procedures"):
