@@ -249,15 +249,15 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
         new_rho = ()
         if m + L > size:
             count = min(max(2 * size, m + L), cap + L)
-            # P_1 = (1, 0), then the orbits 0 < b < a of the store's rows in
-            # packed order, which is lexicographic; rho is 0 at rows a >= N
+            # the orbits 0 < b < a of the store's rows in packed order, which
+            # is lexicographic, after P_1 = (1, 0); rho is 0 at rows a >= N
             A = min(lex_point(count)[0] + 1, N)
             tri = cache.triangle(A)
             row = np.arange(A)
             keep = np.ones(tri.size, bool)
             keep[row * (row + 1) // 2] = False  # b = 0
             keep[row * (row + 3) // 2] = False  # b = a
-            keep[1:2] = True
+            keep[1:2] = True  # P_1
             new_rho = tri[keep][size:count] / denom
             new_rho = np.pad(new_rho, (0, count - size - new_rho.size))
             size = count

@@ -105,13 +105,14 @@ def central_moment_estimate(series: TimeSeries, lags) -> float:
     taus = _check_lags(lags)
     if len(taus) > 2:
         raise OrderError(f"central-moment estimator supports orders 2-3, got {len(taus) + 1}")
+    N = series.n
     a, b = canonical_lag(*taus) if len(taus) == 2 else (abs(taus[0]), 0)
-    n = series.n - a
+    n = N - a
     if n < 1:
         return 0.0
     y = series.centered()
     prod = y[:n] * y[a:] if len(taus) == 1 else (y[b:b + n] * y[a:]) * y[:n]
-    return float(prod.sum() / series.n)
+    return float(prod.sum() / N)
 
 
 def _block_moment(series: TimeSeries, taus, block) -> float:

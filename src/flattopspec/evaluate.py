@@ -283,10 +283,10 @@ _PLUGIN_PROCEDURES = {
 
 def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
     """Bandwidth of each procedure on one series, and whether a rule it ran
-    stopped at its cap.  With `calibrate`, two
-    bootstraps are drawn, seeded rep_seed and + 1: the first serves the
-    flat-top pilots' 1-D threshold, the second procedure (a)'s k2 and the
-    pilots' 2-D threshold; without, every threshold is the default k."""
+    stopped at its cap.  With `calibrate`, two bootstraps are drawn, seeded
+    rep_seed and + 1: the first serves the flat-top pilots' 1-D threshold,
+    the second procedure (a)'s k2 and the pilots' 2-D threshold; without,
+    every threshold is the default k."""
     a = "a" in procedures
     pilot_lags = _PILOT_LAGS if any(p in _PLUGIN_PROCEDURES["flat-top"]
                                     for p in procedures) else ()
