@@ -22,11 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, _rho_scale, central_moment_estimate
-from .exceptions import DegenerateSeriesError
+from .cumulants import (
+    TimeSeries,
+    _lagged_sum,
+    _rho_scale,
+    autocumulants,
+    canonical_lag,
+    central_moment_estimate,
+)
+from .exceptions import DegenerateSeriesError, OrderError
 from .spectra import (
     BispectrumLagCache,
-    autocumulants,
     bispectrum_curvature,
     estimate_spectrum,
 )
@@ -162,13 +168,8 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     if cap is None:
         cap = max(1, N // 4)
     dim = order - 1
-    if dim == 2:
-        lag_cache = BispectrumLagCache(series)
-        denom = lag_cache.rho_denominator()
-    else:
-        # a Python float, so var * var over- or underflows without a warning
-        var = central_moment_estimate(series, (0,))
-        denom = _rho_scale(math.sqrt(var * var))
+    lag_cache = BispectrumLagCache(series) if dim == 2 else None
+    denom = _rho_scale(central_moment_estimate(series, (0,)), order)
     squared = dim == 2 and norm == "euclidean"
     lags, keys, R = np.empty((0, dim), np.int32), np.empty(0, np.int32), 0
 
@@ -273,7 +274,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
              for m, end in enumerate(ends, start=1) for i in range(m, end + 1)]
     i = lex_point(m_hat)[0]
     return BandwidthSelection(
-        M_hat=float(math.floor(i / b)), m_hat=m_hat, rule="bispectrum",
+        M_hat=float(np.floor(i / b)), m_hat=m_hat, rule="bispectrum",
         thresholds={"k1": k1, "k2": k2, "base": base},
         trace=trace, cap_hit=cap_hit,
         params={"L": L, "b": b, "log_base": log_base},
@@ -299,12 +300,14 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     reduced from one set of resamples to a list of (sigma_hat, k), each what
     a call with that lag alone returns.  A replicate with zero variance, a
     non-finite rho or a scale C(0)^(s/2) that overflows raises
-    `DegenerateSeriesError`.
+    `DegenerateSeriesError`, and a lag of 3 or more components `OrderError`.
     """
     many = isinstance(tau0, (list, tuple)) and any(np.ndim(t) for t in tau0)
     lags = [tuple(int(t) for t in np.atleast_1d(u)) for u in (tau0 if many else [tau0])]
     if any(t < 0 for taus in lags for t in taus):
         raise ValueError("tau0 components must be nonnegative")
+    if any(len(taus) not in (1, 2) for taus in lags):
+        raise OrderError("a bootstrap lag has 1 or 2 components (orders 2-3)")
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
     x = series.values
@@ -318,9 +321,13 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
     if any(t >= N for taus in lags for t in taus):
         raise ValueError("tau0 exceeds the series length")
 
+    # the representative a >= b >= 0 (b None at order 2) and the order of each lag
+    reps = [(*canonical_lag(*t), 3) if len(t) == 2 else (t[0], None, 2) for t in lags]
+    orders = {s for _, _, s in reps}
     # replicate r is the blocks x[s:s + block_length] (indices mod N) for its
     # starts s, concatenated and cut to N; replicates are built and reduced
-    # a chunk of rows at a time, each row on its own, for every lag
+    # a chunk of rows at a time, each row on its own, so rho of a replicate
+    # is `normalized_cumulant` of it, bit for bit
     rng = np.random.Generator(np.random.Philox(seed))
     n_blocks = -(-N // block_length)
     starts = rng.integers(0, N, size=(B, n_blocks))
@@ -328,25 +335,23 @@ def bootstrap_threshold(series: TimeSeries, tau0, block_length: int | None = Non
                                  block_length)
     rhos, variances = np.empty((len(lags), B)), np.empty(B)
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * N))
-    # an overflow or underflow shows as a non-finite rho or var^(s/2), checked below
+    # an overflow or underflow shows as a non-finite rho or scale, checked below
     with np.errstate(all="ignore"):
         for i in range(0, B, rows):
             chunk = starts[i:i + rows]
             xb = blocks[chunk].reshape(len(chunk), -1)[:, :N]
             y = xb - xb.mean(axis=1, keepdims=True)
-            var = variances[i:i + rows] = (y * y).sum(axis=1) / N
-            if np.any(var <= 0.0):
-                raise DegenerateSeriesError("bootstrap replicate with zero variance")
-            for rho, taus in zip(rhos, lags):
-                n_terms = N - max(taus + (0,))
-                prod = y[:, :n_terms].copy()
-                for t in taus:
-                    prod *= y[:, t:t + n_terms]
-                rho[i:i + rows] = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
+            variances[i:i + rows] = _lagged_sum(y, 0)
+            for rho, (a, b, _) in zip(rhos, reps):
+                rho[i:i + rows] = _lagged_sum(y, a, b)
+        # each replicate's cumulant over its own C(0)^(s/2), 0 at zero variance
+        scales = {s: _rho_scale(variances, s) for s in orders}
+        for rho, (_, _, s) in zip(rhos, reps):
+            rho /= scales[s]
         if not np.isfinite(rhos).all():
-            raise DegenerateSeriesError("bootstrap replicate with a non-finite rho")
-        for taus in lags:
-            _rho_scale(variances.max() ** ((len(taus) + 1) / 2.0))
+            raise DegenerateSeriesError("bootstrap replicate with 0 variance or a non-finite rho")
+        for s in orders:
+            _rho_scale(variances.max(), s)
     sigmas = [math.sqrt(N) * float(np.std(rho, ddof=1)) for rho in rhos]
     return [(s, 2.0 * s) for s in sigmas] if many else (sigmas[0], 2.0 * sigmas[0])
 
@@ -373,16 +378,16 @@ def _flat_top_pilots(series, c, k2d=2.0, k3d=2.0):
     # last, whether either rule stopped at its cap
     sel2 = select_bandwidth_general(series, order=2, k=k2d, b=c)
     sel3 = select_bandwidth_general(series, order=3, k=k3d, b=c)
-    return (trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), max(sel3.M_hat, 1.0),
+    return (trapezoid_window(c), sel2.M_hat, flat_top_rpf(c), sel3.M_hat,
             sel2.cap_hit or sel3.cap_hit)
 
 
 def _second_order_pilots(series):
     N = series.n
     spec_win = parzen_window()
-    M2 = max(float(math.floor(N ** 0.2)), 1.0)
+    M2 = float(math.floor(N ** 0.2))  # N >= 1, so M2 and M3 are at least 1
     bisp_win = optimal_window(opt_truncation_radius(1e-3))
-    M3 = max(float(math.floor(N ** (1.0 / 6.0))), 1.0)
+    M3 = float(math.floor(N ** (1.0 / 6.0)))
     return spec_win, M2, bisp_win, M3, False
 
 
@@ -449,8 +454,6 @@ def _plugin_selections(window, series, omegas, pilot, pilots, cap=None):
     selections = []
     for i, ((w1, w2), curv) in enumerate(zip(pairs, curvatures)):
         product = f[3 * i] * f[3 * i + 1] * f[3 * i + 2]
-        if product <= 0.0:
-            raise DegenerateSeriesError("pilot spectral product is not positive")
         M_hat, cap_hit = plugin_formula(N, lam_norm, product, lam_d2, curv, cap)
         selections.append(BandwidthSelection(
             M_hat=M_hat, m_hat=max(int(round(M_hat)), 1), rule=f"plugin-{pilot}",

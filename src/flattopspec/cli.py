@@ -112,7 +112,7 @@ def cmd_estimate(args) -> int:
         c = window.params.get("c", 0.51)
         sel = (select_bandwidth_general(series, order=2, b=c) if order == 2
                else select_bandwidth_bispectrum(series, b=c))
-        M = max(sel.M_hat, 1.0)
+        M = sel.M_hat
     else:
         M = float(args.bandwidth)
         if M <= 0:
@@ -138,11 +138,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_study(args) -> int:
-    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    for k in kinds:
-        if k not in MODEL_KINDS:
-            raise ValueError(f"unknown model '{k}' (choose from {sorted(MODEL_KINDS)})")
-    models = [ModelSpec(kind=k, seed=args.seed) for k in kinds]
+    models = [ModelSpec(kind=k.strip(), seed=args.seed)
+              for k in args.models.split(",") if k.strip()]
     windows = [parse_window(w.strip()) for w in args.windows.split(",")]
     for w in windows:
         if w.order != 3:

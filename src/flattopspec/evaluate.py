@@ -201,8 +201,9 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
                 series = generate(spec, N, replication=rep)
                 if "auto" in bw_list:
                     ks = _bootstrap_ks(series, [[], [_K2_LAG]] if calibrate else [], 2 * rep)
-                    M_auto, cap_hit = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))
-                    at_cap += cap_hit
+                    sel = select_bandwidth_bispectrum(series, k2=ks.get(_K2_LAG, 2.0), b=c)
+                    M_auto = sel.M_hat
+                    at_cap += sel.cap_hit
                 for i, (window, bw) in enumerate(cells):
                     M = M_auto if bw == "auto" else float(bw)
                     e_origin, e_21, *e_grid = [e.value for e in estimate_bispectrum(
@@ -267,13 +268,6 @@ class ProcedureResult:
 _K2_LAG = (6, 3)
 
 
-def _selection_rule_bandwidth(series, c, k2=2.0):
-    """Procedure (a): the bispectrum selection rule's bandwidth, and whether
-    the rule stopped at its cap."""
-    sel = select_bandwidth_bispectrum(series, k2=k2, b=c)
-    return max(sel.M_hat, 1.0), sel.cap_hit
-
-
 # the plug-in procedures by pilot: procedure -> frequency
 _PLUGIN_PROCEDURES = {
     "flat-top": {"b": (0.0, 0.0), "c": _POINT_21},
@@ -294,7 +288,8 @@ def _procedure_bandwidths(procedures, series, window, c, calibrate, rep_seed):
     ks = _bootstrap_ks(series, draws, rep_seed)
     chosen = {}
     if a:
-        chosen["a"] = _selection_rule_bandwidth(series, c, ks.get(_K2_LAG, 2.0))
+        sel = select_bandwidth_bispectrum(series, k2=ks.get(_K2_LAG, 2.0), b=c)
+        chosen["a"] = (sel.M_hat, sel.cap_hit)
     for pilot, points in _PLUGIN_PROCEDURES.items():
         group = [p for p in procedures if p in points]
         if group:
@@ -376,7 +371,7 @@ def build_reference_table(spec: ModelSpec, freqs2=(), freqs3=(), R: int = 50,
             M2 = select_bandwidth_general(series, order=2, b=c).M_hat
             sum2 += [e.value for e in estimate_spectrum(series, spec_win, M2, [*f2.values()])]
         if f3:
-            M3 = max(select_bandwidth_bispectrum(series, b=c).M_hat, 1.0)
+            M3 = select_bandwidth_bispectrum(series, b=c).M_hat
             sum3 += [e.value for e in estimate_bispectrum(series, bisp_win, M3, [*f3.values()])]
     return ReferenceTable(
         model=spec.kind,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, _rho_scale, canonical_lag
+from .cumulants import TimeSeries, _lagged_sum, _rho_scale, autocumulants, canonical_lag
 from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry, evaluate_blockwise
 
 __all__ = [
@@ -124,10 +124,8 @@ class BispectrumLagCache:
         self._table = np.zeros(1)
 
     def rho_denominator(self) -> float:
-        """C(0)^(3/2), the scale of the normalized third-order cumulant, with
-        C(0) bit for bit that of `central_moment_estimate`."""
-        var = float((self._y * self._y).sum() / self.series.n)
-        return _rho_scale(math.sqrt((var * var) * var))
+        """C(0)^(3/2), the scale of rho at order 3, as `normalized_cumulant`'s."""
+        return _rho_scale(float(_lagged_sum(self._y, 0)), 3)
 
     def cumulants(self, T1, T2) -> np.ndarray:
         """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
@@ -185,20 +183,6 @@ class BispectrumLagCache:
                     out.sum(axis=1, out=sums[k:k + nb])
         sums /= N
         return sums
-
-
-def autocumulants(series: TimeSeries, taus) -> np.ndarray:
-    """Second-order mean-centered sample cumulants at each lag in `taus`:
-    (y[:N - |tau|] * y[|tau|:]).sum() / N, bit for bit the value of
-    `central_moment_estimate`, and 0 where |tau| >= N."""
-    y = series.centered()
-    N = series.n
-    out = np.zeros(len(taus))
-    for i, tau in enumerate(taus):
-        t = abs(int(tau))
-        if t < N:
-            out[i] = (y[:N - t] * y[t:]).sum() / N
-    return out
 
 
 def _lag_plan(window: LagWindow, M: float, N: int):

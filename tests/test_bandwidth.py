@@ -7,12 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flattopspec import (
     DegenerateSeriesError,
     ModelSpec,
+    OrderError,
     TimeSeries,
     bootstrap_threshold,
     central_moment_estimate,
@@ -536,9 +537,32 @@ class TestBispectrumRule:
             select_bandwidth_bispectrum(s, L=0)
 
 
+class TestBandwidthAtLeastOne:
+    """M_hat is m_hat / b for the general rule and floor(i / b) for the
+    bispectrum rule, with m_hat and i at least 1, so it is never below 1 for
+    b in (0, 1], at the search cap too (inf where i / b overflows)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(12, 120),
+           b=st.floats(0.0, 1.0, exclude_min=True), k=st.floats(0.05, 20.0),
+           cap=st.one_of(st.none(), st.integers(1, 6)))
+    @example(seed=0, N=100, b=1.0, k=0.05, cap=3)  # all three stop at the cap
+    @example(seed=0, N=100, b=5e-324, k=0.05, cap=3)
+    def test_scan_rules_give_at_least_one(self, seed, N, b, k, cap):
+        s = TimeSeries(np.random.default_rng(seed).standard_normal(N) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a selection at its cap
+            sels = [select_bandwidth_general(s, order=2, k=k, b=b, cap=cap),
+                    select_bandwidth_general(s, order=3, k=k, b=b, cap=cap),
+                    select_bandwidth_bispectrum(s, k2=k, b=b, cap=cap)]
+        for sel in sels:
+            assert sel.M_hat >= 1.0, sel
+
+
 def bootstrap_threshold_modulo(series, tau0, block_length=None, B=500, seed=None):
     """The circular block bootstrap with every resample index taken mod N,
-    element by element."""
+    element by element, and each replicate's rho `normalized_cumulant` of
+    that replicate alone."""
     taus = (int(tau0),) if np.ndim(tau0) == 0 else tuple(int(t) for t in tau0)
     x = series.values
     N = series.n
@@ -549,13 +573,7 @@ def bootstrap_threshold_modulo(series, tau0, block_length=None, B=500, seed=None
     starts = rng.integers(0, N, size=(B, n_blocks))
     idx = (starts[:, :, None] + np.arange(block_length)) % N
     xb = x[idx.reshape(B, -1)[:, :N]]
-    y = xb - xb.mean(axis=1, keepdims=True)
-    var = (y * y).sum(axis=1) / N
-    n_terms = N - max(taus + (0,))
-    prod = y[:, :n_terms].copy()
-    for t in taus:
-        prod *= y[:, t:t + n_terms]
-    rhos = prod.sum(axis=1) / N / var ** ((len(taus) + 1) / 2.0)
+    rhos = [normalized_cumulant(TimeSeries(row), taus) for row in xb]
     sigma_hat = math.sqrt(N) * float(np.std(rhos, ddof=1))
     return sigma_hat, 2.0 * sigma_hat
 
@@ -630,6 +648,33 @@ class TestBootstrap:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSeriesError, match="non-finite"):
                 bootstrap_threshold(TimeSeries(s.values * scale), tau0, seed=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e110, 1e-110, 2.0 ** 300],
+                             ids=["1", "1e110", "1e-110", "2^300"])
+    def test_order_2_degenerate_where_the_order_2_rule_is(self, scale):
+        # C(0) of order 1e220 or 1e-220 is finite, but C(0)^(2/2) formed as
+        # sqrt(C(0) * C(0)) is not: both raise, and neither at scale 1
+        s = TimeSeries(generate(ModelSpec(kind="garch11", seed=0), 400).values * scale)
+
+        def degenerate(fn):
+            try:
+                fn()
+            except DegenerateSeriesError:
+                return True
+            return False
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rule = degenerate(lambda: select_bandwidth_general(s, order=2))
+            boot = degenerate(lambda: bootstrap_threshold(s, (3,), seed=0))
+        assert rule == boot == (scale != 1.0)
+
+    def test_three_component_lag_rejected(self):
+        s = TimeSeries(np.random.default_rng(2).normal(size=100))
+        with pytest.raises(OrderError):
+            bootstrap_threshold(s, (3, 1, 0), seed=0)
+        with pytest.raises(OrderError):
+            bootstrap_threshold(s, [(3,), (3, 1, 0)], seed=0)
 
     @pytest.mark.parametrize("block_length", [50, 200])
     def test_overflowing_scale_is_degenerate(self, block_length):
@@ -776,6 +821,14 @@ class TestPluginBandwidth:
             assert sel.rule == alone.rule == f"plugin-{pilot}"
             assert sel.params == alone.params
             assert sel.params["omega"] == omega
+
+    def test_zero_pilot_spectrum_is_degenerate(self, monkeypatch):
+        # a pilot spectrum clamped to 0 reaches `plugin_formula`, which raises
+        series = generate(ModelSpec(kind="arma11", seed=4), 400)
+        monkeypatch.setattr(bandwidth, "estimate_spectrum", lambda series, window, M, ws: [
+            spectra.SpectralEstimate(0.0, (w,), M, window.name, 2, series.n) for w in ws])
+        with pytest.raises(DegenerateSeriesError, match="not positive"):
+            plugin_bandwidth(optimal_window(), series, [(0.5, 1.0)], pilot="second-order")
 
     @pytest.mark.parametrize("pilot", ["flat-top", "second-order"])
     def test_pilot_spectrum_lag_terms_computed_once(self, pilot, monkeypatch):

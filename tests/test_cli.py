@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flattopspec import ModelSpec, evaluate, generate, spectra
+from flattopspec import MODEL_KINDS, ModelSpec, evaluate, generate, spectra
 from flattopspec.bandwidth import BandwidthSelection
 from flattopspec.cli import main, parse_freq
 
@@ -209,6 +209,12 @@ class TestStudy:
     def test_unknown_window_exit_2(self, tmp_path):
         assert main(["study", "--windows", "nope", "--R", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+    def test_unknown_model_exit_2(self, tmp_path, capsys):
+        assert main(["study", "--models", "nope", "--R", "1",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown model 'nope' (choose from {sorted(MODEL_KINDS)})" in err
 
     def test_bilinear_without_oracle_exit_4(self, tmp_path):
         assert main(["study", "--models", "bilinear", "--R", "1", "--N", "100",

@@ -16,6 +16,9 @@ of one `flattopspec study --bandwidth auto --calibrate` run at R=2, the path
 of the bootstrap-calibrated selection rule.  The last line digests m_hat,
 `cap_hit` and the trace of the order-3 general rule on an iid chi^2_1 series
 at N=2000, seed 0, which stops at its cap: the one stall no workload times.
+The `bootstrap-ks` line digests the k of `bootstrap_threshold` at the lags
+[(6, 3), (3, 0)] and at (3,), on each model at N=400, seeds 0-3, the
+calibration the other lines only pass through a selection.
 Equal digests on two commits mean bit-identical outputs.
 
 Then every op runs a second time in the same process, in reverse order, and
@@ -170,6 +173,19 @@ def run_general_at_cap():
     return out, repr(encode(out))
 
 
+def run_bootstrap_ks():
+    """(output, digested text) of the bootstrap's k at a list of 2-D lags
+    and at one 1-D lag, on each model kind at N=400, seeds 0-3."""
+    out = []
+    for kind in sorted(flattopspec.MODEL_KINDS):
+        for seed in range(4):
+            series = flattopspec.generate(flattopspec.ModelSpec(kind=kind, seed=seed), 400)
+            pairs = flattopspec.bootstrap_threshold(series, [(6, 3), (3, 0)], seed=seed)
+            pairs.append(flattopspec.bootstrap_threshold(series, (3,), seed=seed))
+            out.append([k for _, k in pairs])
+    return out, repr(encode(out))
+
+
 def ops(workdir):
     """(label, op) of every op, in the order printed; op() returns the
     output and the digested text."""
@@ -180,6 +196,7 @@ def ops(workdir):
         yield f"estimate {i}", partial(run_estimate, args)
     yield "study-calibrated 0", partial(run_study, CALIBRATED_STUDY, workdir)
     yield "general-cap 0", run_general_at_cap
+    yield "bootstrap-ks 0", run_bootstrap_ks
 
 
 def digest(text):
