@@ -39,15 +39,22 @@ _FREQ_RE = re.compile(r"^(-?\d*\.?\d*)\s*\*?\s*pi(?:/(\d+\.?\d*))?$")
 
 
 def parse_freq(text: str) -> float:
-    """Parse a frequency in radians; 'pi'-literals like 2pi/3 are accepted."""
+    """Parse a frequency in radians; 'pi'-literals like 2pi/3 are accepted.
+    A zero denominator or a value that is not finite is a ValueError."""
     s = text.strip().lower().replace(" ", "")
     m = _FREQ_RE.match(s)
     if m:
         coef = m.group(1)
         num = float(coef) if coef not in ("", "-") else (-1.0 if coef == "-" else 1.0)
         den = float(m.group(2)) if m.group(2) else 1.0
-        return num * math.pi / den
-    return float(s)
+        if den == 0.0:
+            raise ValueError(f"frequency '{text}' has a zero denominator")
+        value = num * math.pi / den
+    else:
+        value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"frequency '{text}' is not finite")
+    return value
 
 
 def _parse_at(values, order):
@@ -83,7 +90,8 @@ def _write_sidecar(output, args, selection=None):
             "M_hat": selection.M_hat, "thresholds": selection.thresholds,
             "cap_hit": selection.cap_hit}
     with open(str(output) + ".config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, default=str)
+        # compact, so that `json.dumps` takes the C encoder
+        fh.write(json.dumps(config, sort_keys=True, default=str))
 
 
 def cmd_estimate(args) -> int:
@@ -114,9 +122,7 @@ def cmd_estimate(args) -> int:
                else select_bandwidth_bispectrum(series, b=c))
         M = sel.M_hat
     else:
-        M = float(args.bandwidth)
-        if M <= 0:
-            raise ValueError("bandwidth must be positive")
+        M = float(args.bandwidth)  # the estimator checks 0 < M < inf
 
     # the order-2 value is a float, whose imag is 0.0
     estimate = estimate_spectrum if order == 2 else estimate_bispectrum

@@ -116,11 +116,15 @@ def central_moment_estimate(series: TimeSeries, lags) -> float:
     whenever the sum is empty (any lag magnitude >= N): `_lagged_sum` at the
     lags reduced to |tau| at order 2 and `canonical_lag` at order 3.
     """
-    taus = _check_lags(lags)
+    return _central_moment(series.centered(), _check_lags(lags))
+
+
+def _central_moment(y, taus) -> float:
+    """`central_moment_estimate` on centered values `y` at checked lags."""
     if len(taus) > 2:
         raise OrderError(f"central-moment estimator supports orders 2-3, got {len(taus) + 1}")
     a, b = canonical_lag(*taus) if len(taus) == 2 else (abs(taus[0]), None)
-    return float(_lagged_sum(series.centered(), a, b)) if a < series.n else 0.0
+    return float(_lagged_sum(y, a, b)) if a < y.shape[-1] else 0.0
 
 
 def autocumulants(series: TimeSeries, taus) -> np.ndarray:
@@ -175,9 +179,10 @@ def joint_cumulant_estimate(series: TimeSeries, lags) -> float:
 
 
 def normalized_cumulant(series: TimeSeries, lags) -> float:
-    """Scale-free cumulant rho(tau) = C(tau) / C(0)^{s/2}, s in {2, 3}."""
-    return central_moment_estimate(series, lags) / _rho_scale(
-        central_moment_estimate(series, (0,)), len(_check_lags(lags)) + 1)
+    """Scale-free cumulant rho(tau) = C(tau) / C(0)^{s/2}, s in {2, 3}: both
+    `central_moment_estimate`s on one centered copy of the series."""
+    taus, y = _check_lags(lags), series.centered()
+    return _central_moment(y, taus) / _rho_scale(_central_moment(y, (0,)), len(taus) + 1)
 
 
 def _rho_scale(var, s: int):

@@ -9,7 +9,9 @@ across replications.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -107,8 +109,9 @@ class CriterionResult:
     def replications(self) -> int:
         return len(self.losses)
 
-    @property
+    @functools.cached_property
     def mse(self) -> float:
+        """Mean squared loss, computed on first read and kept."""
         return float(np.mean(np.asarray(self.losses) ** 2))
 
 
@@ -134,21 +137,20 @@ class StudyReport:
             }
 
     def to_csv(self, path):
-        import csv
-
         cols = ["model", "window", "N", "bandwidth", "criterion", "R",
                 "mse", "mean_estimate"]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
+            writer = csv.writer(fh)
+            writer.writerow(cols)
             for row in self.rows():
-                writer.writerow({k: repr(v) if isinstance(v, float) else v
-                                 for k, v in row.items()})
+                values = (row[k] for k in cols)
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
 
     def to_json(self, path):
+        # compact, so that `json.dumps` takes the C encoder
         payload = {"meta": self.meta, "cells": list(self.rows())}
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
 
 
 def _with_seed(spec: ModelSpec, seed) -> ModelSpec:

@@ -92,7 +92,10 @@ class ModelSpec:
 def generate(spec: ModelSpec, N: int, replication: int = 0) -> TimeSeries:
     """Simulate N observations (after burn-in) of the given model.
 
-    The series owns its N values, so the burn-in is not kept alive with it.
+    The recursions step Python floats, the same IEEE operations in the same
+    order as on numpy scalars at about half the cost, and the N kept values
+    become one new array: the series owns them, so the burn-in is not kept
+    alive with it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -100,36 +103,30 @@ def generate(spec: ModelSpec, N: int, replication: int = 0) -> TimeSeries:
     total = N + spec.burn_in
 
     if spec.kind == "iid-chisq1":
-        x = rng.standard_normal(total) ** 2
-    elif spec.kind == "arma11":
+        return TimeSeries(rng.standard_normal(total)[spec.burn_in:] ** 2)
+    x, prev = [], 0.0
+    append = x.append
+    if spec.kind == "arma11":
         phi, theta = spec.param("phi"), spec.param("theta")
         z = rng.standard_normal(total + 1)
-        u = z[1:] + theta * z[:-1]
-        x = np.empty(total)
-        prev = 0.0
-        for t in range(total):
-            prev = phi * prev + u[t]
-            x[t] = prev
+        for u in (z[1:] + theta * z[:-1]).tolist():
+            prev = phi * prev + u
+            append(prev)
     elif spec.kind == "garch11":
         a0 = spec.param("alpha0")
         a1, a2 = spec.param("alpha1"), spec.param("alpha2")
-        z = rng.standard_normal(total)
-        x = np.empty(total)
         sig2 = a0 / (1.0 - a1 - a2)
-        prev = 0.0
-        for t in range(total):
+        for z in rng.standard_normal(total).tolist():
             sig2 = a0 + a1 * prev * prev + a2 * sig2
-            prev = math.sqrt(sig2) * z[t]
-            x[t] = prev
+            prev = math.sqrt(sig2) * z
+            append(prev)
     else:  # bilinear
         a, b = spec.param("a"), spec.param("b")
-        z = rng.standard_normal(total + 1)
-        x = np.empty(total)
-        prev = 0.0
-        for t in range(total):
-            prev = a * prev + b * prev * z[t] + z[t + 1]
-            x[t] = prev
-    return TimeSeries(x[spec.burn_in:].copy())
+        z = rng.standard_normal(total + 1).tolist()
+        for z_t, z_next in zip(z, z[1:]):
+            prev = a * prev + b * prev * z_t + z_next
+            append(prev)
+    return TimeSeries(np.array(x[spec.burn_in:]))
 
 
 def true_spectrum(spec: ModelSpec, omega: float,

@@ -242,8 +242,8 @@ def _lag_terms(series, window, M, order):
     """The plan of an order-`order` window at (M, N) and the sample cumulants
     at its lags, or at order 3 on its triangle, from a fresh store: every
     factor of an estimate free of frequency."""
-    if M <= 0:
-        raise ValueError("bandwidth M must be positive")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"bandwidth M must be positive and finite, got {M!r}")
     if window.order != order:
         raise ValueError(f"expected an order-{order} window, got {window.name}")
     plan = _lag_plan(window, M, series.n)

@@ -36,6 +36,37 @@ class TestParseFreq:
         with pytest.raises(ValueError):
             parse_freq("three")
 
+    @pytest.mark.parametrize("text", ["pi/0", "2pi/0.0", "1e400", "nan", "inf", "-inf"])
+    def test_rejects_zero_denominator_and_non_finite(self, text):
+        with pytest.raises(ValueError, match="zero denominator|not finite"):
+            parse_freq(text)
+
+
+_SIMULATE = ["estimate", "--model", "iid-chisq1", "--N", "200"]
+_STUDY = ["study", "--N", "100", "--R", "1", "--grid-n", "3"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (_SIMULATE + ["--at", "pi/0,1"], "frequency"),
+    (_SIMULATE + ["--at", "1e400,1"], "frequency"),
+    (_SIMULATE + ["--at", "nan,1"], "frequency"),
+    (_SIMULATE + ["--at", "2,1", "--bandwidth", "inf"], "bandwidth"),
+    (_SIMULATE + ["--at", "2,1", "--bandwidth", "nan"], "bandwidth"),
+    (_SIMULATE + ["--order", "2", "--at", "1", "--bandwidth", "inf"], "bandwidth"),
+    (_STUDY + ["--bandwidth", "inf"], "bandwidth"),
+    (_STUDY + ["--bandwidth", "5,nan"], "bandwidth"),
+], ids=["at-pi/0", "at-1e400", "at-nan", "estimate-inf", "estimate-nan",
+        "estimate-order2-inf", "study-inf", "study-nan"])
+def test_bad_frequency_or_bandwidth_exit_2(argv, names, tmp_path, capfd):
+    # these raised ZeroDivisionError or OverflowError out of `main`, wrote
+    # a row of NaN and exited 0, or failed converting NaN to an integer
+    code = main(argv + ["--output", str(tmp_path / "x.csv")])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+    assert "Traceback" not in err
+
 
 class TestEstimate:
     def test_bispectrum_from_file(self, chisq_file, tmp_path, capsys):

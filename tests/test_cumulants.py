@@ -11,6 +11,7 @@ from flattopspec import (
     joint_cumulant_estimate,
     normalized_cumulant,
 )
+from flattopspec.cumulants import _rho_scale
 
 
 @pytest.fixture
@@ -147,6 +148,23 @@ class TestNormalizedCumulant:
         s = TimeSeries(np.full(30, 2.5))
         with pytest.raises(DegenerateSeriesError):
             normalized_cumulant(s, (1,))
+
+    @pytest.mark.parametrize("lags", [(0,), (3,), (2, 1), (-4, 2)])
+    def test_centers_the_series_once(self, monkeypatch, lags):
+        calls = []
+        centered = TimeSeries.centered
+
+        def spy(self):
+            calls.append(self)
+            return centered(self)
+        monkeypatch.setattr(TimeSeries, "centered", spy)
+        s = TimeSeries(np.random.default_rng(8).normal(size=40))
+        rho = normalized_cumulant(s, lags)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the bits of its two `central_moment_estimate` calls
+        assert rho == central_moment_estimate(s, lags) / _rho_scale(
+            central_moment_estimate(s, (0,)), len(lags) + 1)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)

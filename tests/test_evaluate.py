@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -121,6 +124,8 @@ class TestRunMseStudy:
         assert len(report.cells) == 2 * len(CRITERIA)
 
     def test_serialization(self, tmp_path):
+        # the CSV as `csv.DictWriter` wrote it, byte for byte; the JSON table
+        # compact, with sorted keys, and the objects the indented dump held
         spec = ModelSpec("iid-chisq1")
         report = run_mse_study([spec], [flat_top_rpf()], bandwidths=1.0,
                                N_list=(150,), R=2, seed=2)
@@ -130,7 +135,33 @@ class TestRunMseStudy:
         report.to_json(json_path)
         text = csv_path.read_text()
         assert "abs@origin" in text
-        assert json_path.exists()
+        cols = ["model", "window", "N", "bandwidth", "criterion", "R", "mse",
+                "mean_estimate"]
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(buf, fieldnames=cols)
+        writer.writeheader()
+        for row in report.rows():
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
+        assert csv_path.read_bytes() == buf.getvalue().encode()
+        text = json_path.read_text()
+        payload = {"meta": report.meta, "cells": list(report.rows())}
+        assert text == json.dumps(payload, sort_keys=True)
+        assert json.loads(text) == json.loads(json.dumps(payload, indent=2, sort_keys=True))
+
+    def test_each_cell_mse_computed_once_per_report(self, tmp_path, monkeypatch):
+        report = run_mse_study([ModelSpec("arma11")], [flat_top_rpf()],
+                               bandwidths=[1.0, 2.0], N_list=(150,), R=2, seed=2)
+        means = []
+        real_mean = np.mean
+
+        def spy(*args, **kwargs):
+            means.append(args[0])
+            return real_mean(*args, **kwargs)
+        monkeypatch.setattr(np, "mean", spy)
+        report.to_csv(tmp_path / "out.csv")
+        report.to_json(tmp_path / "out.json")
+        assert len(means) == len(report.cells)
 
     def test_one_lag_terms_call_per_window_and_bandwidth(self, monkeypatch):
         # the `study-sweep` benchmark op: 2 models x 2 windows x 3 bandwidths

@@ -27,6 +27,37 @@ SERIES_DIGESTS = {
 }
 
 
+def numpy_scalar_generate(spec, N, replication=0):
+    """The recursions on numpy scalars, as `generate` stepped them before it
+    ran on Python floats: the oracle of its bits."""
+    rng = spec.rng(replication)
+    total = N + spec.burn_in
+    x = np.empty(total)
+    prev = 0.0
+    if spec.kind == "arma11":
+        phi, theta = spec.param("phi"), spec.param("theta")
+        z = rng.standard_normal(total + 1)
+        u = z[1:] + theta * z[:-1]
+        for t in range(total):
+            prev = phi * prev + u[t]
+            x[t] = prev
+    elif spec.kind == "garch11":
+        a0, a1, a2 = spec.param("alpha0"), spec.param("alpha1"), spec.param("alpha2")
+        z = rng.standard_normal(total)
+        sig2 = a0 / (1.0 - a1 - a2)
+        for t in range(total):
+            sig2 = a0 + a1 * prev * prev + a2 * sig2
+            prev = math.sqrt(sig2) * z[t]
+            x[t] = prev
+    else:
+        a, b = spec.param("a"), spec.param("b")
+        z = rng.standard_normal(total + 1)
+        for t in range(total):
+            prev = a * prev + b * prev * z[t] + z[t + 1]
+            x[t] = prev
+    return x[spec.burn_in:]
+
+
 class TestModelSpec:
     def test_defaults_merge(self):
         spec = ModelSpec("arma11")
@@ -69,6 +100,24 @@ class TestGenerate:
         assert s.values.base is None
         assert s.values.shape == (64,)
         assert hashlib.sha256(s.values.tobytes()).hexdigest() == SERIES_DIGESTS[kind]
+
+    @pytest.mark.parametrize("N", [1, 2, 120, 400, 2000])
+    @pytest.mark.parametrize("kind", ["arma11", "garch11", "bilinear"])
+    def test_recursions_match_numpy_scalar_oracle(self, kind, N):
+        for seed in range(5):
+            for rep in (0, 7):
+                spec = ModelSpec(kind, seed=seed)
+                got = generate(spec, N, replication=rep).values
+                assert got.tobytes() == numpy_scalar_generate(spec, N, rep).tobytes(), \
+                    (seed, rep)
+
+    @pytest.mark.parametrize("kind", ["arma11", "garch11", "bilinear"])
+    def test_recursions_without_burn_in_match_oracle(self, kind):
+        for N in (1, 2, 120):
+            spec = ModelSpec(kind, seed=3, burn_in=0)
+            got = generate(spec, N, replication=7)
+            assert got.values.base is None
+            assert got.values.tobytes() == numpy_scalar_generate(spec, N, 7).tobytes()
 
     def test_replications_differ(self):
         spec = ModelSpec("iid-chisq1", seed=42)

@@ -659,6 +659,13 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             estimate_spectrum(series, flat_top_rpf(), 2.0, 0.0)
 
+    @pytest.mark.parametrize("M", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bandwidth_not_positive_and_finite(self, series, M):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_spectrum(series, trapezoid_window(), M, 0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_bispectrum(series, flat_top_rpf(), M, (2.0, 1.0))
+
     def test_iid_noise_recovers_flat_spectrum(self):
         rng = np.random.default_rng(77)
         s = TimeSeries(rng.standard_normal(10_000))
