@@ -241,7 +241,7 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     if cap is None:
         cap = max(1, N // 4)
     cache = BispectrumLagCache(series)
-    denom = cache.rho_denominator()
+    denom = _rho_scale(central_moment_estimate(series, (0,)), 3)
     size = 0  # P_1 .. P_size are at indices 0 .. size - 1 of the list
 
     def points(m):

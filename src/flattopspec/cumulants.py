@@ -129,15 +129,15 @@ def _central_moment(y, taus) -> float:
 
 def autocumulants(series: TimeSeries, taus) -> np.ndarray:
     """Second-order sample cumulants at each lag in `taus`, bit for bit those
-    of `central_moment_estimate`, and 0 where |tau| >= N."""
+    of `central_moment_estimate`, and 0 where |tau| >= N: one `_lagged_sum`
+    per distinct |tau|, so tau and -tau cost one sum."""
     y, N = series.centered(), series.n
-    out = np.zeros(len(taus))
-    for i, tau in enumerate(taus):
-        t = abs(int(tau))
+    distinct, inverse = np.unique(np.abs(np.asarray(taus, np.int64)), return_inverse=True)
+    sums = np.zeros(distinct.size)
+    for i, t in enumerate(distinct.tolist()):
         if t < N:
-            # `_lagged_sum(y, t)` written out: a call per lag costs ~14%
-            out[i] = (y[:N - t] * y[t:]).sum() / N
-    return out
+            sums[i] = _lagged_sum(y, t)
+    return sums[inverse]
 
 
 def _block_moment(series: TimeSeries, taus, block) -> float:

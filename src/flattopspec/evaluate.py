@@ -202,10 +202,9 @@ def run_mse_study(models, windows, bandwidths="auto", N_list=(2000,), R=100,
             for rep in range(R):
                 series = generate(spec, N, replication=rep)
                 if "auto" in bw_list:
-                    ks = _bootstrap_ks(series, [[], [_K2_LAG]] if calibrate else [], 2 * rep)
-                    sel = select_bandwidth_bispectrum(series, k2=ks.get(_K2_LAG, 2.0), b=c)
-                    M_auto = sel.M_hat
-                    at_cap += sel.cap_hit
+                    M_auto, cap_hit = _procedure_bandwidths(
+                        "a", series, None, c, calibrate, 2 * rep)["a"]
+                    at_cap += cap_hit
                 for i, (window, bw) in enumerate(cells):
                     M = M_auto if bw == "auto" else float(bw)
                     e_origin, e_21, *e_grid = [e.value for e in estimate_bispectrum(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cumulants import TimeSeries, _lagged_sum, _rho_scale, autocumulants, canonical_lag
+from .cumulants import TimeSeries, autocumulants, canonical_lag
 from .windows import SYMMETRY_MAPS, LagWindow, apply_symmetry, evaluate_blockwise
 
 __all__ = [
@@ -123,10 +123,6 @@ class BispectrumLagCache:
         self._y = series.centered()
         self._table = np.zeros(1)
 
-    def rho_denominator(self) -> float:
-        """C(0)^(3/2), the scale of rho at order 3, as `normalized_cumulant`'s."""
-        return _rho_scale(float(_lagged_sum(self._y, 0)), 3)
-
     def cumulants(self, T1, T2) -> np.ndarray:
         """The cumulant at each lag pair (T1[i], T2[i]) of the 1-D arrays, as
         a float array: the rows up to the largest a asked, then one gather
@@ -188,11 +184,12 @@ class BispectrumLagCache:
 def _lag_plan(window: LagWindow, M: float, N: int):
     """The plan of `window` at (M, N), (lags, weights, L, n_lags), with L =
     min(ceil(support_radius * M), N - 1) the lag cap and n_lags the number of
-    lags summed; the window keeps the `_PLAN_MEMO` plans it used last.
+    lags summed; the window keeps the `_PLAN_MEMO` plans it used last.  A
+    weight that is not finite (the scaled lags of a tiny M overflow) raises.
 
     At order 2 the lags are those of [-L, L] where the window is nonzero.  At
-    order 3 they are None: the weights lie on the packed triangle of orbits
-    (a, b), a < A, of `BispectrumLagCache`, one row per image under
+    order 3 the first item is A: the weights lie on the packed triangle of
+    orbits (a, b), a < A, of `BispectrumLagCache`, one row per image under
     `SYMMETRY_MAPS` (K = 6; 0 outside the box), or one row, taken at the
     representative, for a window declared `symmetric` (K = 1), whose support
     is then a union of orbits inside the box: A = L + 1, else min(2L + 1, N).
@@ -203,14 +200,20 @@ def _lag_plan(window: LagWindow, M: float, N: int):
     plan = plans.pop(key, None)
     if plan is None:
         R = window.support_radius
-        L = N - 1 if R is None else min(int(math.ceil(R * M)), N - 1)
-        if window.order == 2:
-            T = np.arange(-L, L + 1)
-            w = evaluate_blockwise(window.fn, T / M)
-            keep = w != 0.0
-            plan = (T[keep], w[keep], L, int(keep.sum()))
-        else:
-            plan = (None, *_orbit_weights(window, M, N, L))
+        # R * M may overflow to inf, and math.ceil of inf raises
+        L = N - 1 if R is None or R * M >= N - 1 else math.ceil(R * M)
+        # a weight that overflows raises below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if window.order == 2:
+                T = np.arange(-L, L + 1)
+                w = evaluate_blockwise(window.fn, T / M)
+                keep = w != 0.0
+                plan = (T[keep], w[keep], L, int(keep.sum()))
+            else:
+                plan = _orbit_weights(window, M, N, L)
+        if not np.isfinite(plan[1]).all():
+            raise ValueError(f"window {window.name} has weights that are not finite "
+                             f"at bandwidth M = {M!r}")
         if len(plans) >= _PLAN_MEMO:
             del plans[next(iter(plans))]
     plans[key] = plan
@@ -218,7 +221,7 @@ def _lag_plan(window: LagWindow, M: float, N: int):
 
 
 def _orbit_weights(window, M, N, L):
-    """The (K, A(A + 1)/2) weights of an order-3 plan, L and n_lags."""
+    """An order-3 plan: A, the (K, A(A + 1)/2) weights, L and n_lags."""
     K = 1 if window.symmetric else 6
     A = L + 1 if K == 1 else min(2 * L + 1, N)
     w, n_lags = np.empty((K, A * (A + 1) // 2)), 0
@@ -235,7 +238,7 @@ def _orbit_weights(window, M, N, L):
         block /= multiplicity
         # an orbit has 6 / multiplicity lags, each an image multiplicity times
         n_lags += int((np.count_nonzero(block, axis=0) * (6 // K) // multiplicity).sum())
-    return w, L, n_lags
+    return A, w, L, n_lags
 
 
 def _lag_terms(series, window, M, order):
@@ -252,8 +255,7 @@ def _lag_terms(series, window, M, order):
     if not window.symmetric:
         warnings.warn(f"window {window.name} is not declared symmetric under the "
                       "cumulant symmetries", stacklevel=3)
-    A = (math.isqrt(8 * plan[1].shape[1] + 1) - 1) // 2
-    return plan, BispectrumLagCache(series).triangle(A)
+    return plan, BispectrumLagCache(series).triangle(plan[0])
 
 
 # the image m(a, b) of an orbit under the k-th of `SYMMETRY_MAPS` has the
@@ -371,8 +373,8 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    (_, w, _, _), C = _lag_terms(series, window, M, 3)
-    a, b = _row_orbits(0, (math.isqrt(8 * C.size + 1) - 1) // 2)
+    (A, w, _, _), C = _lag_terms(series, window, M, 3)
+    a, b = _row_orbits(0, A)
     tau = np.array([apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])  # (6, 2, size)
     return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega])[0][0]
 
@@ -384,7 +386,7 @@ def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
     the lags.  The factor -(t1^2 - t1 t2 + t2^2) of a term is -(a^2 - ab +
     b^2) at every image of an orbit (a, b)."""
     one, points = _frequencies(omega, 3)
-    (_, w, _, _), C = _lag_terms(series, window, M, 3)
-    a, b = _row_orbits(0, (math.isqrt(8 * C.size + 1) - 1) // 2)
+    (A, w, _, _), C = _lag_terms(series, window, M, 3)
+    a, b = _row_orbits(0, A)
     sums = [val for val, _ in _frequency_sum(-(a * a - a * b + b * b) * w * C, points)]
     return sums[0] if one else sums

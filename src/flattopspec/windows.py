@@ -300,7 +300,8 @@ class LagWindow:
     `order` is the spectral order s it serves (2 -> 1-D argument, 3 -> 2-D).
     `support_radius` bounds the coordinates of the support box in scaled lag
     units (None means unbounded); it alone sets which lags an estimate sums.
-    `qform_profile`, when set, gives lambda(x, y) = g(sqrt(x^2 - xy + y^2)).
+    `radial` promises lambda(x, y) = g(sqrt(x^2 - xy + y^2)), so that the
+    profile g(r) is lambda(r, 0), since q(r, 0) = r^2.
     `symmetric` promises invariance under `SYMMETRY_MAPS`: an order-3 plan
     then takes the kernel once per orbit of lags, not at each of six images.
 
@@ -317,7 +318,7 @@ class LagWindow:
     support_radius: float | None = None
     params: dict = field(default_factory=dict)
     symmetric: bool = False
-    qform_profile: object = None
+    radial: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, *coords):
@@ -354,36 +355,20 @@ def flat_top_rpf(c: float = 0.51) -> LagWindow:
     )
 
 
-def _rcf_profile(r, c=0.51):
-    r = np.asarray(r, dtype=float)
-    base = np.maximum(1.0 - r, 0.0)
-    inner = np.maximum(1.0 - r / c, 0.0)
-    return (base - c * inner) / (1.0 - c)
-
-
 @_one_window_per_params
 def flat_top_rcf(c: float = 0.51) -> LagWindow:
     _check_c(c)
     return LagWindow(
         name="rcf", order=3, fn=lambda x, y: lambda_rcf(x, y, c),
         flat_top_radius=c, support_radius=2.0 / _SQRT3, params={"c": c},
-        symmetric=True, qform_profile=partial(_rcf_profile, c=c),
+        symmetric=True, radial=True,
     )
-
-
-def _opt_qform_profile(r):
-    return _opt_profile(_ALPHA_SCALE * np.asarray(r, dtype=float))
 
 
 def _lambda_opt_truncated(x, y, r):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.where(x * x - x * y + y * y <= r ** 2, lambda_opt(x, y), 0.0)
-
-
-def _opt_qform_profile_truncated(s, r):
-    s = np.asarray(s, dtype=float)
-    return np.where(s <= r, _opt_qform_profile(s), 0.0)
 
 
 @_one_window_per_params
@@ -397,8 +382,7 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     if truncation_radius is None:
         return LagWindow(
             name="opt", order=3, fn=lambda x, y: lambda_opt(x, y),
-            flat_top_radius=0.0, support_radius=None, symmetric=True,
-            qform_profile=_opt_qform_profile,
+            flat_top_radius=0.0, support_radius=None, symmetric=True, radial=True,
         )
     r = float(truncation_radius)
     if not r > 0.0:
@@ -406,8 +390,7 @@ def optimal_window(truncation_radius: float | None = None) -> LagWindow:
     return LagWindow(
         name="opt", order=3, fn=partial(_lambda_opt_truncated, r=r),
         flat_top_radius=0.0, support_radius=2.0 / _SQRT3 * r,
-        params={"truncation_radius": r}, symmetric=True,
-        qform_profile=partial(_opt_qform_profile_truncated, r=r),
+        params={"truncation_radius": r}, symmetric=True, radial=True,
     )
 
 
@@ -594,16 +577,16 @@ def window_l2_norm(window: LagWindow) -> float:
         n = 40001
         t = np.linspace(-R, R, n)
         val = _simpson(np.asarray(window.fn(t), float) ** 2, t[1] - t[0])
-    elif window.qform_profile is not None:
+    elif window.radial:
         # lambda = g(sqrt(q)): integral reduces to (4pi/sqrt(3)) int g(r)^2 r dr
         R = window.support_radius if window.support_radius is not None else _OPT_L2_RADIUS
         r = np.linspace(0.0, R, 80001)
-        g = evaluate_blockwise(window.qform_profile, r)
+        g = evaluate_blockwise(lambda x: window.fn(x, 0.0), r)
         val = 4.0 * math.pi / _SQRT3 * _simpson(g ** 2 * r, r[1] - r[0])
     else:
         R = window.support_radius
         if R is None:
-            raise ValueError("cannot integrate an unbounded window without a radial profile")
+            raise ValueError("cannot integrate an unbounded window that is not radial")
         ax = np.linspace(-R, R, 1601)
         dx = ax[1] - ax[0]
         # Simpson's rule along each row of the grid, then across the rows,
@@ -618,18 +601,19 @@ def window_l2_norm(window: LagWindow) -> float:
     return result
 
 
-def window_curvature_at_zero(window: LagWindow, h=1e-4) -> float:
+def window_curvature_at_zero(window: LagWindow) -> float:
     """Second partial of the window along its first lag axis at the origin,
-    memoized on the window for each step h."""
-    cached = window._memo.get(("d2", h))
+    a central difference of step h = 1e-4, memoized on the window."""
+    cached = window._memo.get("d2")
     if cached is not None:
         return cached
+    h = 1e-4
     if window.order == 2:
         val = (float(window.fn(h)) - 2.0 * float(window.fn(0.0)) + float(window.fn(-h))) / h ** 2
     else:
         val = (float(window.fn(h, 0.0)) - 2.0 * float(window.fn(0.0, 0.0))
                + float(window.fn(-h, 0.0))) / h ** 2
-    window._memo[("d2", h)] = val
+    window._memo["d2"] = val
     return val
 
 
@@ -660,4 +644,9 @@ def parse_window(spec: str) -> LagWindow:
             if not _:
                 raise ValueError(f"malformed window parameter '{item}'")
             kwargs[k.strip()] = float(v)
+    takes = list(inspect.signature(_FACTORIES[name]).parameters)
+    for k in kwargs:
+        if k not in takes:
+            raise ValueError(f"window '{name}' has no parameter '{k}' "
+                             f"(it takes {', '.join(takes) or 'none'})")
     return _FACTORIES[name](**kwargs)

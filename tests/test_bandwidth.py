@@ -30,6 +30,7 @@ from flattopspec import (
     trapezoid_window,
 )
 from flattopspec import bandwidth, spectra
+from flattopspec.cumulants import _rho_scale
 from flattopspec.spectra import BispectrumLagCache
 from lag_oracles import DirectCumulant, six_image_lag
 
@@ -212,7 +213,7 @@ def brute_force_general(series, order, k, a_N, norm, cap=None):
     memo: dict = {}
     if order == 3:
         cumulant = DirectCumulant(series)
-        denom = BispectrumLagCache(series).rho_denominator()
+        denom = _rho_scale(central_moment_estimate(series, (0,)), 3)
 
     def rho(tau):
         if tau not in memo:
@@ -338,13 +339,13 @@ class TestOneVariance:
         lags = list(itertools.product(range(-3, 4), repeat=2))
         for seed in range(10):
             s = generate(ModelSpec(kind=model, seed=seed), 400)
-            denom = BispectrumLagCache(s).rho_denominator()
+            denom = _rho_scale(central_moment_estimate(s, (0,)), 3)
             assert [central_moment_estimate(s, lag) / denom for lag in lags] == [
                 normalized_cumulant(s, lag) for lag in lags], seed
 
     @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
     def test_rules_rho_is_normalized_cumulant(self, model):
-        # the rules' rho, a store cumulant over `rho_denominator`, is
+        # the rules' rho, a store cumulant over C(0)^(3/2), is
         # `normalized_cumulant` bit for bit: both multiply the three factors
         # in one order, on seeds 0-9 at every lag of max(|t1|, |t2|) <= 4
         lags = list(itertools.product(range(-4, 5), repeat=2))
@@ -352,7 +353,7 @@ class TestOneVariance:
         for seed in range(10):
             s = generate(ModelSpec(kind=model, seed=seed), 400)
             cache = BispectrumLagCache(s)
-            rho = cache.cumulants(T1, T2) / cache.rho_denominator()
+            rho = cache.cumulants(T1, T2) / _rho_scale(central_moment_estimate(s, (0,)), 3)
             assert rho.tolist() == [normalized_cumulant(s, lag) for lag in lags], seed
 
 
@@ -447,7 +448,7 @@ def brute_force_bispectrum(series, k1=2.0, k2=2.0, L=5, cap=None):
     if cap is None:
         cap = max(1, N // 4)
     cumulant = DirectCumulant(series)
-    denom = BispectrumLagCache(series).rho_denominator()
+    denom = _rho_scale(central_moment_estimate(series, (0,)), 3)
     rho_cache: dict = {}
 
     def rho(n):

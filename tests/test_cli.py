@@ -55,8 +55,12 @@ _STUDY = ["study", "--N", "100", "--R", "1", "--grid-n", "3"]
     (_SIMULATE + ["--order", "2", "--at", "1", "--bandwidth", "inf"], "bandwidth"),
     (_STUDY + ["--bandwidth", "inf"], "bandwidth"),
     (_STUDY + ["--bandwidth", "5,nan"], "bandwidth"),
+    (_SIMULATE + ["--at", "2,1", "--window", "rcf", "--bandwidth", "1e-200"], "M = 1e-200"),
+    (_SIMULATE + ["--at", "2,1", "--window", "opt", "--bandwidth", "1e-160"], "M = 1e-160"),
+    (_SIMULATE + ["--at", "2,1", "--bandwidth", "1e-320"], "M = 1e-320"),
 ], ids=["at-pi/0", "at-1e400", "at-nan", "estimate-inf", "estimate-nan",
-        "estimate-order2-inf", "study-inf", "study-nan"])
+        "estimate-order2-inf", "study-inf", "study-nan", "rcf-1e-200", "opt-1e-160",
+        "rpf-1e-320"])
 def test_bad_frequency_or_bandwidth_exit_2(argv, names, tmp_path, capfd):
     # these raised ZeroDivisionError or OverflowError out of `main`, wrote
     # a row of NaN and exited 0, or failed converting NaN to an integer
@@ -66,6 +70,21 @@ def test_bad_frequency_or_bandwidth_exit_2(argv, names, tmp_path, capfd):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (_SIMULATE + ["--at", "2,1", "--window", "rpf:x=1"], "'x' (it takes c)"),
+    (_SIMULATE + ["--order", "2", "--at", "1", "--window", "parzen:c=0.5"],
+     "'c' (it takes none)"),
+    (_STUDY + ["--windows", "rpf:q=2", "--bandwidth", "3"], "'q' (it takes c)"),
+], ids=["estimate-rpf", "estimate-parzen", "study-rpf"])
+def test_unknown_window_parameter_exits_2(argv, names, tmp_path, capfd):
+    # `inspect.Signature.bind` raised TypeError out of `main`
+    code = main(argv + ["--output", str(tmp_path / "x.csv")])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
 
 
 class TestEstimate:

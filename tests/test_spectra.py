@@ -26,8 +26,10 @@ from flattopspec import (
     lambda_opt,
     lambda_rc,
     lambda_rp,
+    opt_truncation_radius,
     optimal_window,
     parzen_window,
+    parzen_window_2d,
     symmetrize,
     symmetrize_even_1d,
     trapezoid_window,
@@ -481,9 +483,9 @@ class TestLagWeightBlocks:
         window = dataclasses.replace(window)
         monkeypatch.setattr(spectra, "_INDEX_BLOCK", block)
         plan = spectra._lag_plan(window, M, N)
-        lags, w, L, n_lags = plan
-        assert lags is None and L == lag_cap(window, M, N)
-        A = L + 1 if window.symmetric else min(2 * L + 1, N)
+        A, w, L, n_lags = plan
+        assert L == lag_cap(window, M, N)
+        assert A == (L + 1 if window.symmetric else min(2 * L + 1, N))
         a, b, multiplicity = triangle(A)
         images = ([(a, b)] if window.symmetric
                   else [apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])
@@ -532,7 +534,7 @@ class TestPlanSharing:
         A, B = (spectra._lag_plan(window, M, 50) for M in (2.0, 3.0))
         C = spectra._lag_plan(window, 2.0, 51)
         for plan, N in ((A, 50), (B, 50), (C, 51)):
-            assert plan[0] is None and plan[1].shape == (1, N * (N + 1) // 2)
+            assert plan[0] == N and plan[1].shape == (1, N * (N + 1) // 2)
             assert plan[3] == 3 * N * N - 3 * N + 1
         assert A[1] is not B[1]
         assert set(window._memo) == {"plans"}
@@ -665,6 +667,37 @@ class TestSpectrum:
             estimate_spectrum(series, trapezoid_window(), M, 0.5)
         with pytest.raises(ValueError, match="positive and finite"):
             estimate_bispectrum(series, flat_top_rpf(), M, (2.0, 1.0))
+
+    @pytest.mark.parametrize("window, M", [(flat_top_rcf(), 1.7e308),
+                                           (optimal_window(9.0), 1e308)],
+                             ids=["rcf", "opt-truncated"])
+    def test_huge_bandwidth_sums_every_lag(self, series, window, M):
+        # support_radius * M overflows to inf, whose math.ceil raised
+        # OverflowError; the lag cap is N - 1, as at every M with R M >= N - 1
+        huge = estimate_bispectrum(series, window, M, (2.0, 1.0))
+        large = estimate_bispectrum(series, window, 1e300, (2.0, 1.0))
+        assert huge.lag_cap == large.lag_cap == series.n - 1
+        assert huge.value == large.value
+
+    @pytest.mark.parametrize("window, M", [(flat_top_rcf(), 1e-200),
+                                           (optimal_window(), 1e-160),
+                                           (flat_top_rpf(), 1e-320)],
+                             ids=["rcf", "opt", "rpf"])
+    def test_rejects_weights_not_finite(self, series, window, M):
+        # the scaled lags overflow and the kernel forms inf - inf: these
+        # estimates were NaN
+        with pytest.raises(ValueError, match=f"window {window.name} .* M = {M!r}"):
+            estimate_bispectrum(series, window, M, (2.0, 1.0))
+
+    @pytest.mark.parametrize("M", [1e-200, 1e-160])
+    @pytest.mark.parametrize("window", [flat_top_rpf(), parzen_window_2d(),
+                                        optimal_window(opt_truncation_radius(1e-3))],
+                             ids=["rpf", "parzen2d", "opt-truncated"])
+    def test_tiny_bandwidth_with_finite_weights_is_accepted(self, series, window, M):
+        # only the lag (0, 0) has a nonzero weight, as at M = 1e-3
+        est = estimate_bispectrum(series, window, M, (2.0, 1.0))
+        assert math.isfinite(est.value.real) and math.isfinite(est.value.imag)
+        assert est.value == estimate_bispectrum(series, window, 1e-3, (2.0, 1.0)).value
 
     def test_iid_noise_recovers_flat_spectrum(self):
         rng = np.random.default_rng(77)

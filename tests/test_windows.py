@@ -228,7 +228,7 @@ class TestOptimalWindow:
         # the ellipse's bounding box is the support box
         assert np.all(np.abs(X[inside]) <= w.support_radius)
         clear = np.abs(q - r * r) > 1e-9
-        np.testing.assert_allclose(w.qform_profile(np.sqrt(q))[clear], vals[clear],
+        np.testing.assert_allclose(w.fn(np.sqrt(q), 0)[clear], vals[clear],
                                    rtol=0, atol=1e-15)
         # the tail beyond |lambda_opt| = 1e-3 carries little of the L2 norm
         full = window_l2_norm(optimal_window())
@@ -449,6 +449,15 @@ class TestParseWindow:
     def test_malformed_params(self):
         with pytest.raises(ValueError):
             parse_window("rpf:c")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("rpf:x=1", "window 'rpf' has no parameter 'x' (it takes c)"),
+        ("parzen:c=0.5", "window 'parzen' has no parameter 'c' (it takes none)"),
+        ("opt:c=0.5", "window 'opt' has no parameter 'c' (it takes truncation_radius)")])
+    def test_unknown_parameter(self, spec, message):
+        with pytest.raises(ValueError) as info:
+            parse_window(spec)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("spec", ["rpf:c=0.4", "rcf", "opt", "opt:truncation_radius=2.5",
                                       "trapezoid:c=0.6", "parzen", "parzen2d"])

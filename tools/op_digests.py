@@ -19,6 +19,9 @@ at N=2000, seed 0, which stops at its cap: the one stall no workload times.
 The `bootstrap-ks` line digests the k of `bootstrap_threshold` at the lags
 [(6, 3), (3, 0)] and at (3,), on each model at N=400, seeds 0-3, the
 calibration the other lines only pass through a selection.
+The `window-constants` line digests `window_l2_norm` and
+`window_curvature_at_zero` of each window family at several parameters, on
+cold copies of the windows, so each run computes them afresh.
 Equal digests on two commits mean bit-identical outputs.
 
 Then every op runs a second time in the same process, in reverse order, and
@@ -186,6 +189,30 @@ def run_bootstrap_ks():
     return out, repr(encode(out))
 
 
+# the windows of the `window-constants` line: every family, the radial ones
+# (rcf, opt) at each parameter whose profile a change could reach
+CONSTANT_WINDOWS = (
+    [partial(flattopspec.flat_top_rpf, c) for c in (0.3, 0.51, 0.9)]
+    + [partial(flattopspec.flat_top_rcf, c) for c in (0.3, 0.51, 0.9)]
+    + [flattopspec.optimal_window,
+       partial(flattopspec.optimal_window, flattopspec.opt_truncation_radius(1e-3)),
+       partial(flattopspec.optimal_window, 2.5),
+       flattopspec.trapezoid_window, flattopspec.parzen_window,
+       flattopspec.parzen_window_2d])
+
+
+def run_window_constants():
+    """(output, digested text) of the L2 norm and the curvature at 0 of each
+    window of `CONSTANT_WINDOWS`, each on a cold copy of the window."""
+    out = []
+    for make in CONSTANT_WINDOWS:
+        window = dataclasses.replace(make())
+        out.append([window.name, window.params,
+                    flattopspec.window_l2_norm(window),
+                    flattopspec.window_curvature_at_zero(window)])
+    return out, repr(encode(out))
+
+
 def ops(workdir):
     """(label, op) of every op, in the order printed; op() returns the
     output and the digested text."""
@@ -197,6 +224,7 @@ def ops(workdir):
     yield "study-calibrated 0", partial(run_study, CALIBRATED_STUDY, workdir)
     yield "general-cap 0", run_general_at_cap
     yield "bootstrap-ks 0", run_bootstrap_ks
+    yield "window-constants 0", run_window_constants
 
 
 def digest(text):
