@@ -16,8 +16,10 @@ Thresholds can be calibrated from the data with a circular block bootstrap.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +35,7 @@ from .cumulants import (
 from .exceptions import DegenerateSeriesError, OrderError
 from .spectra import (
     BispectrumLagCache,
+    _row_orbits,
     bispectrum_curvature,
     estimate_spectrum,
 )
@@ -80,7 +83,7 @@ class BandwidthSelection:
 
 def _warn_cap():
     warnings.warn("bandwidth selection stopped at its search cap; the returned "
-                  "bandwidth is the cap (cap_hit=True)", UserWarning, stacklevel=3)
+                  "bandwidth is the cap (cap_hit=True)", UserWarning, stacklevel=4)
 
 
 def _log_threshold(k: float, N: int, base: float) -> float:
@@ -120,26 +123,43 @@ def _lags_by_norm(R: int, dim: int, norm: str, R0: int = 0):
     return lags, key
 
 
-def _scan(cap, threshold, window):
-    """The first m in 1..cap whose window lags[lo:hi] of an ordered lag list
-    has no |rho| >= threshold.  `window(m)` returns (lo, hi) and rho at the
-    lags it appended to the list to reach hi (or an empty sequence).
-    Returns m_hat, cap_hit, the index of the first exceedance of each blocked
-    window, in increasing m, and rho at every lag of the list."""
-    rho = np.empty(0)
+def _scan(series, s, k, log_base, b, cap, window):
+    """The scan of both rules over an ordered lag list that grows as it goes:
+    the first m in 1..cap whose window lags[lo:hi] has no |rho| >= threshold
+    `_log_threshold(k, N, log_base)`, rho the order-s cumulants over one
+    C(0)^(s/2).  `window(m, cap)` returns (lo, hi) and the lags, rows of an
+    array, it appended to the list to reach hi, or None.  `cap` is an
+    integer >= 1, by default floor(N/4) or 1; at the cap the scan warns.
+    Returns m_hat, cap_hit, the threshold, the index of the first exceedance
+    of each blocked window, in increasing m, the lag list and rho there."""
+    N = series.n
+    if not 0 < b <= 1:
+        raise ValueError(f"b must be in (0, 1], got {b!r}")
+    cap = max(1, N // 4) if cap is None else cap
+    if not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
+    cap = int(cap)
+    threshold = _log_threshold(k, N, log_base)
+    cumulants = (partial(autocumulants, series) if s == 2
+                 else BispectrumLagCache(series).cumulants)
+    scale = _rho_scale(central_moment_estimate(series, (0,)), s)
+    lags, rho = [], np.empty(0)
     exceed = np.empty(0, np.int64)  # the indices where |rho| >= threshold
     firsts = []
     for m in range(1, cap + 1):
-        lo, hi, new_rho = window(m)
-        if len(new_rho):
+        lo, hi, new = window(m, cap)
+        if new is not None:
+            new_rho = cumulants(*new.T) / scale
             exceed = np.concatenate(
                 [exceed, rho.size + np.flatnonzero(np.abs(new_rho) >= threshold)])
             rho = np.concatenate([rho, new_rho])
+            lags.append(new)
         j = int(np.searchsorted(exceed, lo))
         if j == exceed.size or exceed[j] >= hi:
-            return m, False, firsts, rho
+            return m, False, threshold, firsts, np.concatenate(lags), rho
         firsts.append(int(exceed[j]))
-    return cap, True, firsts, rho
+    _warn_cap()
+    return cap, True, threshold, firsts, np.concatenate(lags), rho
 
 
 def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
@@ -149,51 +169,38 @@ def select_bandwidth_general(series: TimeSeries, order: int = 2, k: float = 2.0,
     """Smallest m >= 1 with |rho(tau)| < k sqrt(log N / N) on the annulus
     m <= ||tau|| < m + a_N; returns M = m / b.
 
-    The search is capped at m <= N/4; hitting the cap sets `cap_hit`, warns
-    and returns the cap rather than raising.  The lags are sorted by norm, so
-    each annulus is a contiguous run of them, and the witness of a blocked
-    annulus is its first lag with |rho| >= threshold.  Each time the list
-    grows, rho at its new lags comes from one `autocumulants` call at order 2
-    and from one `BispectrumLagCache.cumulants` lookup at order 3, divided by
-    C(0)^(s/2).
+    The cap and the threshold are those of both scan rules (README,
+    `bandwidth`).  The lags are sorted by norm, so each annulus is a
+    contiguous run of them, and the witness of a blocked annulus is its first
+    lag with |rho| >= threshold.  Each time the list grows, rho at its new
+    lags comes from one `autocumulants` call at order 2 and from one
+    `BispectrumLagCache.cumulants` lookup at order 3, over C(0)^(s/2).
     """
-    if k <= 0 or a_N < 1 or not 0 < b <= 1:
-        raise ValueError("need k > 0, a_N >= 1, b in (0, 1]")
+    if k <= 0 or a_N < 1:
+        raise ValueError("need k > 0, a_N >= 1")
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
     if norm not in ("euclidean", "sup"):
         raise ValueError(f"unknown norm '{norm}'")
-    N = series.n
-    thr = _log_threshold(k, N, log_base)
-    if cap is None:
-        cap = max(1, N // 4)
     dim = order - 1
-    lag_cache = BispectrumLagCache(series) if dim == 2 else None
-    denom = _rho_scale(central_moment_estimate(series, (0,)), order)
     squared = dim == 2 and norm == "euclidean"
-    lags, keys, R = np.empty((0, dim), np.int32), np.empty(0, np.int32), 0
+    keys, R = np.empty(0, np.int32), 0
 
-    def annulus(m):
-        nonlocal lags, keys, R
-        new_rho = ()
+    def annulus(m, cap):
+        nonlocal keys, R
+        new = None
         if m + a_N > R:
             # the list grows by the ring of norms from the old R to the new
             R0, R = R, min(max(2 * R, 2 * (m + a_N)), cap + a_N)
             new, new_keys = _lags_by_norm(R, dim, norm, R0)
-            lags, keys = np.concatenate([lags, new]), np.concatenate([keys, new_keys])
-            if dim == 2:
-                new_rho = lag_cache.cumulants(new[:, 0], new[:, 1])
-            else:
-                new_rho = autocumulants(series, new[:, 0])
-            new_rho /= denom
+            keys = np.concatenate([keys, new_keys])
         bounds = (m * m, (m + a_N) ** 2) if squared else (m, m + a_N)
         # bounds of the keys' dtype: a Python int would cast all the keys
         lo, hi = np.searchsorted(keys, np.array(bounds, keys.dtype)).tolist()
-        return lo, hi, new_rho
+        return lo, hi, new
 
-    m_hat, cap_hit, firsts, rho = _scan(cap, thr, annulus)
-    if cap_hit:
-        _warn_cap()
+    m_hat, cap_hit, thr, firsts, lags, rho = _scan(series, order, k, log_base, b,
+                                                   cap, annulus)
     # a witness that blocks several annuli is one entry, repeated
     entry = {f: (tuple(lags[f].tolist()), float(rho[f])) for f in firsts}
     trace = [entry[f] for f in firsts]
@@ -229,53 +236,38 @@ def select_bandwidth_bispectrum(series: TimeSeries, k1: float = 2.0,
     so b = c = 0.51 yields only odd integers and b = 0.5 only even ones.
     The scan starts at P_2, so P_1 = (1,0) is never examined for m >= 1 and
     k1 has no effect (it is kept in `thresholds`).  The points are the
-    orbits of `BispectrumLagCache.triangle` with 0 < b < a, in its packed
-    order, so rho at each growth of the point list is one read of the
-    store's rows; the trace lists every (point, rho) seen.
+    orbits 0 < b < a of the store's rows, in its packed order, so rho at each
+    growth of the point list is one `BispectrumLagCache.cumulants` lookup;
+    the trace lists every (point, rho) seen.  The cap and the threshold are
+    those of both scan rules (README, `bandwidth`).
     """
-    if k1 <= 0 or k2 <= 0 or L < 1 or not 0 < b <= 1:
-        raise ValueError("need k1, k2 > 0, L >= 1, b in (0, 1]")
-    N = series.n
-    base = math.sqrt(math.log(N) / math.log(log_base) / N)
-    thr = k2 * base
-    if cap is None:
-        cap = max(1, N // 4)
-    cache = BispectrumLagCache(series)
-    denom = _rho_scale(central_moment_estimate(series, (0,)), 3)
-    size = 0  # P_1 .. P_size are at indices 0 .. size - 1 of the list
+    if k1 <= 0 or k2 <= 0 or L < 1:
+        raise ValueError("need k1, k2 > 0, L >= 1")
+    rows = size = 0  # P_1 .. P_size are the points of the rows a < rows
 
-    def points(m):
+    def window(m, cap):
         # window m is P_{m+1} .. P_{m+L}
-        nonlocal size
-        new_rho = ()
-        if m + L > size:
-            count = min(max(2 * size, m + L), cap + L)
-            # the orbits 0 < b < a of the store's rows in packed order, which
-            # is lexicographic, after P_1 = (1, 0); rho is 0 at rows a >= N
-            A = min(lex_point(count)[0] + 1, N)
-            tri = cache.triangle(A)
-            row = np.arange(A)
-            keep = np.ones(tri.size, bool)
-            keep[row * (row + 1) // 2] = False  # b = 0
-            keep[row * (row + 3) // 2] = False  # b = a
-            keep[1:2] = True  # P_1
-            new_rho = tri[keep][size:count] / denom
-            new_rho = np.pad(new_rho, (0, count - size - new_rho.size))
-            size = count
-        return m, m + L, new_rho
+        nonlocal rows, size
+        if m + L <= size:
+            return m, m + L, None
+        # the store's orbits of the rows up to that of the last point wanted,
+        # in packed order, which is lexicographic, where 0 < b < a, and P_1
+        A = lex_point(min(max(2 * size, m + L), cap + L))[0] + 1
+        t1, t2 = _row_orbits(rows, A)
+        inner = (t2 < t1) & ((t2 > 0) | (t1 == 1))
+        rows, size = A, size + int(inner.sum())
+        return m, m + L, np.column_stack([t1[inner], t2[inner]])
 
-    m_hat, cap_hit, firsts, rho = _scan(cap, thr, points)
-    if cap_hit:
-        _warn_cap()
+    m_hat, cap_hit, _, firsts, points, rho = _scan(series, 3, k2, log_base, b,
+                                                   cap, window)
     # window m examined its points up to its first exceedance; m_hat all L
-    rho = rho.tolist()
+    rho, points = rho.tolist(), points.tolist()
     ends = firsts if cap_hit else [*firsts, m_hat + L - 1]
-    trace = [(lex_point(i + 1), rho[i])
+    trace = [(tuple(points[i]), rho[i])
              for m, end in enumerate(ends, start=1) for i in range(m, end + 1)]
-    i = lex_point(m_hat)[0]
     return BandwidthSelection(
-        M_hat=float(np.floor(i / b)), m_hat=m_hat, rule="bispectrum",
-        thresholds={"k1": k1, "k2": k2, "base": base},
+        M_hat=float(np.floor(points[m_hat - 1][0] / b)), m_hat=m_hat, rule="bispectrum",
+        thresholds={"k1": k1, "k2": k2, "base": _log_threshold(1.0, series.n, log_base)},
         trace=trace, cap_hit=cap_hit,
         params={"L": L, "b": b, "log_base": log_base},
     )
@@ -420,10 +412,14 @@ def plugin_bandwidth(window: LagWindow, series: TimeSeries, omegas,
     where it falls below 1e-3, at floor(N^(1/6))).  The pilots depend on the
     series alone, so a call computes them, the pilot bispectrum's lag terms
     and the constants of `window` once for all its frequencies; the result
-    for each pair equals that of a call with that pair alone.
+    for each pair equals that of a call with that pair alone.  Each M is at
+    most `cap`, a positive finite number, by default N/4 (README,
+    `bandwidth`).
     """
     if pilot not in ("flat-top", "second-order"):
         raise ValueError(f"pilot must be 'flat-top' or 'second-order', got '{pilot}'")
+    if cap is not None and not 0 < cap < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {cap!r}")
     omegas = np.asarray(omegas, float)
     if omegas.ndim != 2 or omegas.shape[1] != 2 or len(omegas) == 0:
         raise ValueError("omegas must be a nonempty sequence of (w1, w2) pairs")

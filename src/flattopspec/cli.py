@@ -74,9 +74,9 @@ def _load_series(path) -> TimeSeries:
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
     try:
-        data = np.loadtxt(path)
+        data = np.loadtxt(path, ndmin=1)
     except ValueError:
-        data = np.loadtxt(path, delimiter=",")
+        data = np.loadtxt(path, delimiter=",", ndmin=1)
     return TimeSeries(data)  # raises on NaN/inf and on more than one column
 
 

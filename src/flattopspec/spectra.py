@@ -270,14 +270,15 @@ def _frequencies(omega, order):
     return one, [(w,) if order == 2 else tuple(w) for w in ([omega] if one else omega)]
 
 
-def _frequency_sum(terms, omegas, lags=None):
+def _frequency_sum(terms, omegas, layout):
     """The sum over the lags tau of terms * exp(-i tau . omega) / (2pi)^(s-1)
     at each frequency omega of `omegas`, a list of tuples, with each
     coordinate reduced by `canonical_frequency`: a list of (sum, reduced
-    omega).
+    omega).  `layout` is the first item of the terms' plan.
 
-    At order 2 the terms are real, at `lags`: one dot product with each of
-    cos and sin of tau w.  At order 3 they lie as an order-3 plan's weights.
+    At order 2 the terms are real, at the lags `layout`: one dot product with
+    each of cos and sin of tau w.  At order 3 they lie as the weights of an
+    order-3 plan of A = `layout` rows.
     Image k of an orbit (a, b) has the phase a x_k + b y_k, so with E_w =
     [cos; sin] of a w, a in [0, A), and a block of rows of the terms in a
     dense lower triangle D, it adds G = E_x D E_y^T, whose sum gives the real
@@ -293,11 +294,10 @@ def _frequency_sum(terms, omegas, lags=None):
     frequency: a stacked (F, L) @ (L,) is a gemv, which sums in another
     order."""
     omegas = [tuple(canonical_frequency(w) for w in omega) for omega in omegas]
-    if lags is not None:
-        return [(complex(terms @ np.cos(lags * w), -(terms @ np.sin(lags * w))) / _TWO_PI,
+    if terms.ndim == 1:
+        return [(complex(terms @ np.cos(layout * w), -(terms @ np.sin(layout * w))) / _TWO_PI,
                  (w,)) for (w,) in omegas]
-    K, size = terms.shape
-    A = (math.isqrt(8 * size + 1) - 1) // 2
+    K, A = len(terms), layout
     a = np.arange(A)
     F = len(omegas)
     w = np.array(omegas, float).reshape(F, 2)
@@ -356,11 +356,11 @@ def estimate_bispectrum(series: TimeSeries, window: LagWindow, M: float,
     list of them, one per pair of a sequence `omega`, from one pass over the
     lags."""
     one, points = _frequencies(omega, 3)
-    (_, w, L, n_lags), C = _lag_terms(series, window, M, 3)
+    (A, w, L, n_lags), C = _lag_terms(series, window, M, 3)
     estimates = [SpectralEstimate(value=val, omega=omega_c, M=float(M),
                                   window=window.name, order=3, n=series.n,
                                   lag_cap=L, n_lags=n_lags)
-                 for val, omega_c in _frequency_sum(w * C, points)]
+                 for val, omega_c in _frequency_sum(w * C, points, A)]
     return estimates[0] if one else estimates
 
 
@@ -376,7 +376,7 @@ def estimate_bispectrum_partial(series: TimeSeries, window: LagWindow, M: float,
     (A, w, _, _), C = _lag_terms(series, window, M, 3)
     a, b = _row_orbits(0, A)
     tau = np.array([apply_symmetry(m, a, b) for m in SYMMETRY_MAPS])  # (6, 2, size)
-    return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega])[0][0]
+    return _frequency_sum(-tau[:, i - 1] * tau[:, j - 1] * w * C, [omega], A)[0][0]
 
 
 def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
@@ -388,5 +388,5 @@ def bispectrum_curvature(series: TimeSeries, window: LagWindow, M: float,
     one, points = _frequencies(omega, 3)
     (A, w, _, _), C = _lag_terms(series, window, M, 3)
     a, b = _row_orbits(0, A)
-    sums = [val for val, _ in _frequency_sum(-(a * a - a * b + b * b) * w * C, points)]
+    sums = [val for val, _ in _frequency_sum(-(a * a - a * b + b * b) * w * C, points, A)]
     return sums[0] if one else sums

@@ -439,6 +439,38 @@ class TestGeneralRule:
             select_bandwidth_general(s, order=4)
 
 
+class TestCap:
+    """The scan rules' cap is an integer >= 1, by default floor(N/4) or 1, and
+    the plug-in rule's a positive, finite number; any other raises."""
+
+    SCAN_RULES = [functools.partial(select_bandwidth_general, order=2),
+                  functools.partial(select_bandwidth_general, order=3),
+                  select_bandwidth_bispectrum]
+
+    @pytest.mark.parametrize("rule", SCAN_RULES, ids=["general-2", "general-3", "bispectrum"])
+    @pytest.mark.parametrize("cap", [0, -3, 2.5])
+    def test_scan_rules_reject_cap(self, rule, cap):
+        s = generate(ModelSpec(kind="arma11", seed=0), 400)
+        with pytest.raises(ValueError, match="cap"):
+            rule(s, cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, 0.0, -1.0, math.nan, math.inf])
+    def test_plugin_rejects_cap(self, cap):
+        s = generate(ModelSpec(kind="arma11", seed=0), 400)
+        with pytest.raises(ValueError, match="cap"):
+            plugin_bandwidth(optimal_window(), s, [(0.0, 0.0)], calibrate=False, cap=cap)
+
+    @pytest.mark.filterwarnings("ignore:bandwidth selection stopped")
+    @pytest.mark.parametrize("rule", SCAN_RULES, ids=["general-2", "general-3", "bispectrum"])
+    @pytest.mark.parametrize("N", [2, 3, 4, 9, 400])
+    def test_default_cap_is_quarter_of_N_at_least_one(self, rule, N):
+        # the default, floor(N/4) given as a Python or a numpy integer, and
+        # max(1, N // 4) select alike, bit for bit
+        s = generate(ModelSpec(kind="iid-chisq1", seed=0), N)
+        sels = [rule(s, cap=cap) for cap in (None, max(1, N // 4), np.int64(max(1, N // 4)))]
+        assert repr(sels[0]) == repr(sels[1]) == repr(sels[2])
+
+
 def brute_force_bispectrum(series, k1=2.0, k2=2.0, L=5, cap=None):
     """The bispectrum rule as a per-point scan: window m examines P_{m+1},
     ..., P_{m+L} in order up to its first exceedance, each rho computed once

@@ -125,6 +125,20 @@ class TestEstimate:
         np.savetxt(path, np.full(200, 3.0))
         assert main(["estimate", "--input", str(path), "--at", "0,0"]) == 3
 
+    @pytest.mark.parametrize("order,at", [("2", ["--at", "0.3", "--at", "1.2"]),
+                                          ("3", ["--at", "0,0", "--at", "2,1"])])
+    @pytest.mark.parametrize("text", ["5\n", "5"])
+    def test_one_value_file_is_a_one_sample_series(self, tmp_path, capsys, order, at, text):
+        path = tmp_path / "one.txt"
+        path.write_text(text)
+        args = ["estimate", "--input", str(path), "--order", order, *at]
+        assert main([*args, "--bandwidth", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(",1") for line in lines[1:])
+        # one sample has zero variance, so no bandwidth can be selected
+        assert main([*args, "--bandwidth", "auto"]) == 3
+
     def test_multi_channel_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
         rng = np.random.Generator(np.random.Philox(2))

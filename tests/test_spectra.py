@@ -192,6 +192,48 @@ class TestLagCacheLookup:
         assert peak <= 3.43e6
 
 
+# the store's largest difference from `DirectCumulant` allowed, relative to
+# the sum of the absolute products of the orbit over N: the tiled kernel
+# differs by 0, a per-row real-FFT kernel by up to 2.7e-12 on these series
+STORE_REL = 1e-10
+
+
+def check_rows_against_direct(series, A0, A, values):
+    """`values`, the store's cumulants of the rows A0 <= a < A in packed
+    order, each within STORE_REL of `DirectCumulant` relative to the sum of
+    the absolute products of its orbit."""
+    direct = DirectCumulant(series)
+    a, b = spectra._row_orbits(A0, A)
+    assert a.size == values.size
+    for t1, t2, got in zip(a.tolist(), b.tolist(), values.tolist()):
+        want = direct(t1, t2)
+        if got != want:
+            y = np.abs(series.centered())
+            n = series.n - t1
+            scale = float((y[t2:t2 + n] * y[t1:] * y[:n]).sum() / series.n)
+            assert abs(got - want) <= STORE_REL * scale, (series.n, t1, t2, got, want)
+
+
+class TestStoreAgainstDirectSums:
+    """The store against the oracle's direct sums on every model: the whole
+    triangle for N = 1..70, and the first, middle and last rows for N = 2^k
+    and 2^k + 1 up to 2049."""
+
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
+    def test_whole_triangle(self, model):
+        for N in range(1, 71):
+            s = generate(ModelSpec(kind=model, seed=N), N)
+            check_rows_against_direct(s, 0, N, BispectrumLagCache(s).triangle(N))
+
+    @pytest.mark.parametrize("model", ["iid-chisq1", "arma11", "garch11", "bilinear"])
+    def test_first_middle_last_rows(self, model):
+        for N in [2 ** k + d for k in range(1, 12) for d in (0, 1)]:
+            s = generate(ModelSpec(kind=model, seed=N), N)
+            cache = BispectrumLagCache(s)
+            for a in sorted({0, (N - 1) // 2, N - 1}):
+                check_rows_against_direct(s, a, a + 1, cache._compute_rows(a, a + 1))
+
+
 def spy_on_orbits(cache, monkeypatch):
     """The list of representatives `cache` computes from now on: those of the
     rows of each call of its kernel."""

@@ -13,15 +13,21 @@ digest the exit code and stdout of `flattopspec estimate` at orders 2 and 3,
 with a fixed and an automatic bandwidth, and once with untruncated `opt`.
 The `study-calibrated` line digests the exit code and the CSV and JSON tables
 of one `flattopspec study --bandwidth auto --calibrate` run at R=2, the path
-of the bootstrap-calibrated selection rule.  The last line digests m_hat,
-`cap_hit` and the trace of the order-3 general rule on an iid chi^2_1 series
-at N=2000, seed 0, which stops at its cap: the one stall no workload times.
+of the bootstrap-calibrated selection rule.  The `general-cap` line digests
+m_hat, `cap_hit` and the trace of the order-3 general rule on an iid chi^2_1
+series at N=2000, seed 0, which stops at its cap: the one stall no workload
+times.
 The `bootstrap-ks` line digests the k of `bootstrap_threshold` at the lags
 [(6, 3), (3, 0)] and at (3,), on each model at N=400, seeds 0-3, the
 calibration the other lines only pass through a selection.
 The `window-constants` line digests `window_l2_norm` and
 `window_curvature_at_zero` of each window family at several parameters, on
 cold copies of the windows, so each run computes them afresh.
+The `scan-edges` line digests m_hat, M_hat, `cap_hit` and the trace of the
+general rule at orders 2 and 3 and of the bispectrum rule at caps 1, 2,
+floor(N/4) and the default, on arma11 and iid chi^2_1 at N in {2, 3, 5, 8,
+400}, seed 0: the edges of the scan, where a cap leaves one or two windows
+or the series is shorter than a window.
 Equal digests on two commits mean bit-identical outputs.
 
 Then every op runs a second time in the same process, in reverse order, and
@@ -189,6 +195,24 @@ def run_bootstrap_ks():
     return out, repr(encode(out))
 
 
+def run_scan_edges():
+    """(output, digested text) of both scan rules at small caps and on short
+    series."""
+    out = []
+    for kind in ("arma11", "iid-chisq1"):
+        for N in (2, 3, 5, 8, 400):
+            series = flattopspec.generate(flattopspec.ModelSpec(kind=kind, seed=0), N)
+            # floor(N/4) is not a cap below N = 4
+            for cap in [1, 2, *([N // 4] if N >= 4 else []), None]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a selection at its cap warns
+                    sels = [flattopspec.select_bandwidth_general(series, order=2, cap=cap),
+                            flattopspec.select_bandwidth_general(series, order=3, cap=cap),
+                            flattopspec.select_bandwidth_bispectrum(series, cap=cap)]
+                out.append([[sel.m_hat, sel.M_hat, sel.cap_hit, sel.trace] for sel in sels])
+    return out, repr(encode(out))
+
+
 # the windows of the `window-constants` line: every family, the radial ones
 # (rcf, opt) at each parameter whose profile a change could reach
 CONSTANT_WINDOWS = (
@@ -225,6 +249,7 @@ def ops(workdir):
     yield "general-cap 0", run_general_at_cap
     yield "bootstrap-ks 0", run_bootstrap_ks
     yield "window-constants 0", run_window_constants
+    yield "scan-edges 0", run_scan_edges
 
 
 def digest(text):
